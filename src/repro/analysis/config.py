@@ -65,21 +65,25 @@ class AnalysisConfig:
     def spec(self, name: str) -> LockSpec | None:
         return self._by_name.get(name)
 
-    def resolve(self, attr: str, klass: str | None) -> LockSpec | None:
+    def resolve(self, attr: str, klass) -> LockSpec | None:
         """Map an attribute access to a declared lock.
 
         ``klass`` is the class the attribute lives on when known (the
-        enclosing class for ``self.X``, None for ``other.X``).  With a
-        class, only an exact ``(attr, class)`` declaration matches; a
-        class-less access matches iff exactly one declaration uses the
-        attribute name, so ``worker.lock`` resolves while an ambiguous
-        bare ``._lock`` (four declarations) stays unresolved.
+        enclosing class for ``self.X``, None for ``other.X``), either one
+        name or a lineage list — the class, then its ancestors — in which
+        the first class with an ``(attr, class)`` declaration wins, so a
+        lock declared once on a base class covers its subclasses.  With a
+        class, only such declarations match; a class-less access matches
+        iff exactly one declaration uses the attribute name, so
+        ``worker.lock`` resolves while an ambiguous bare ``._lock`` (four
+        declarations) stays unresolved.
         """
         candidates = [spec for spec in self.locks if spec.attr == attr]
         if klass is not None:
-            for spec in candidates:
-                if spec.klass == klass:
-                    return spec
+            for name in ([klass] if isinstance(klass, str) else klass):
+                for spec in candidates:
+                    if spec.klass == name:
+                        return spec
             return None
         if len(candidates) == 1:
             return candidates[0]

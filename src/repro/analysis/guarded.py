@@ -4,8 +4,9 @@ Attributes declared ``# guarded-by: <lock>`` may only be read or
 written while that lock is lexically held (a ``with`` block in the same
 function), or inside a method whose name ends in ``_locked`` (the
 repo's caller-holds-the-lock convention), or inside ``__init__`` /
-``__setstate__`` of the declaring class (construction happens before
-the object is shared).  Everything else is a finding — to be fixed, or
+``__setstate__`` of the declaring class or a subclass (construction
+happens before the object is shared).  Declarations on a base class
+cover ``self.X`` accesses in its subclasses' methods.  Everything else is a finding — to be fixed, or
 baselined with a written justification when the unlocked access is
 benign by design (e.g. monotone reads documented at the site).
 """
@@ -35,9 +36,12 @@ def check(program: Program) -> list[Finding]:
     findings: list[Finding] = []
     seen: set[str] = set()
     for func in program.functions:
+        lineage = program.lineage(func.klass)
         for access in func.accesses:
             if access.base == "self":
-                decls = by_class.get((func.klass, access.attr), [])
+                decls = next((by_class[(klass, access.attr)]
+                              for klass in lineage
+                              if (klass, access.attr) in by_class), [])
             else:
                 decls = by_alias.get((access.base, access.attr), [])
             if not decls:
@@ -46,7 +50,7 @@ def check(program: Program) -> list[Finding]:
                 continue
             if (func.name in _CONSTRUCTION
                     and access.base == "self"
-                    and any(d.klass == func.klass for d in decls)):
+                    and any(d.klass in lineage for d in decls)):
                 continue
             held = {h.lock for h in access.held}
             if any(d.lock in held for d in decls):

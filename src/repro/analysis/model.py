@@ -158,9 +158,11 @@ class _FunctionWalker:
             return None
         if not isinstance(expr.value, ast.Name):
             return None
-        base = expr.value.id
-        klass = self.info.klass if base == "self" else None
-        return self.config.resolve(expr.attr, klass)
+        if expr.value.id != "self" or self.info.klass is None:
+            return self.config.resolve(expr.attr, None)
+        # A lock declared on a base class resolves from subclass methods.
+        return self.config.resolve(
+            expr.attr, class_lineage(self.info.klass, self.collector.classes))
 
     @staticmethod
     def _call_target(func: ast.AST) -> tuple[str | None, str | None]:
@@ -188,6 +190,34 @@ class _FunctionWalker:
         return RaiseSite(exc_name=name, line=node.lineno, is_call=is_call)
 
 
+def class_bases(tree: ast.AST) -> dict[str, list[str]]:
+    """Every class defined in ``tree`` → its base-class names (dotted bases
+    keep the last component: ``repro.exceptions.ReproError`` ->
+    ``ReproError``)."""
+    out: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            out[node.name] = [
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            ]
+    return out
+
+
+def class_lineage(klass: str, classes: dict[str, list[str]]) -> list[str]:
+    """``klass`` followed by every known ancestor, depth-first, each once —
+    the method-resolution order for the single-inheritance code linted here."""
+    lineage: list[str] = []
+    pending = [klass]
+    while pending:
+        name = pending.pop(0)
+        if name not in lineage:
+            lineage.append(name)
+            pending[:0] = classes.get(name, [])
+    return lineage
+
+
 class _ModuleCollector:
     def __init__(self, path: Path, relpath: str, source: str,
                  config: AnalysisConfig):
@@ -197,7 +227,12 @@ class _ModuleCollector:
         self.source_lines = source.splitlines()
         self._class_spans: list[tuple[int, int, str]] = []
 
-    def collect(self) -> ModuleInfo:
+    def collect(self, classes: dict[str, list[str]]) -> ModuleInfo:
+        """Extract this module's facts. ``classes`` maps every class of
+        every module linted together to its bases, so ``self._lock``
+        resolves through base classes defined in other modules."""
+        self.classes = classes
+        self.module.classes = class_bases(self.tree)
         self._walk_top(self.tree, klass=None, prefix=None)
         self._scan_comments()
         return self.module
@@ -206,13 +241,6 @@ class _ModuleCollector:
                   prefix: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                bases = []
-                for base in child.bases:
-                    if isinstance(base, ast.Name):
-                        bases.append(base.id)
-                    elif isinstance(base, ast.Attribute):
-                        bases.append(base.attr)
-                self.module.classes[child.name] = bases
                 self._class_spans.append(
                     (child.lineno, child.end_lineno or child.lineno,
                      child.name))
@@ -308,8 +336,12 @@ class Program:
         self._by_module: dict[str, dict[str, list[FunctionInfo]]] = {}
         self._by_qual: dict[tuple[str, str], FunctionInfo] = {}
         self.classes: dict[str, list[str]] = {}
+        #: class name -> relpaths of the modules defining it
+        self._class_files: dict[str, list[str]] = {}
         self.guarded: list[GuardedDecl] = []
         for module in self.modules:
+            for klass in module.classes:
+                self._class_files.setdefault(klass, []).append(module.relpath)
             per_name: dict[str, list[FunctionInfo]] = {}
             for info in module.functions.values():
                 self.functions.append(info)
@@ -324,8 +356,8 @@ class Program:
                      caller: FunctionInfo) -> FunctionInfo | None:
         """Name-based callee resolution, tuned for precision over recall.
 
-        ``self.f()`` binds to method ``f`` on the caller's class (or a
-        base class we parsed).  A bare call ``f()`` binds to a module
+        ``self.f()`` binds to method ``f`` on the caller's class or the
+        nearest base class we parsed (in any module).  A bare call ``f()`` binds to a module
         top-level function of that name (caller's module first, then a
         globally unique one) or, for a known class name, to its
         ``__init__``.  Calls through any other object (``conn.close()``,
@@ -336,16 +368,13 @@ class Program:
         if site.base == "self":
             if caller.klass is None:
                 return None
-            klass = caller.klass
-            seen = set()
-            while klass is not None and klass not in seen:
-                seen.add(klass)
-                hit = self._by_qual.get(
-                    (caller.file, f"{klass}.{site.callee}"))
-                if hit is not None:
-                    return hit
-                bases = self.classes.get(klass, [])
-                klass = bases[0] if bases else None
+            for klass in self.lineage(caller.klass):
+                files = self._class_files.get(klass, [])
+                # The caller's own module wins a class-name clash.
+                for file in sorted(files, key=lambda f: f != caller.file):
+                    hit = self._by_qual.get((file, f"{klass}.{site.callee}"))
+                    if hit is not None:
+                        return hit
             return None
         if site.base is not None:
             return None
@@ -370,6 +399,12 @@ class Program:
         if len(everywhere) == 1:
             return everywhere[0]
         return None
+
+    def lineage(self, klass: str | None) -> list:
+        """``klass`` and its parsed ancestors (``[None]`` for module code)."""
+        if klass is None:
+            return [None]
+        return class_lineage(klass, self.classes)
 
     def suppressed(self, relpath: str, line: int, rule: str) -> bool:
         for module in self.modules:
@@ -403,7 +438,7 @@ def build_program(paths: list[Path], config: AnalysisConfig,
     if root is None:
         root = (config.path.parent if config.path is not None
                 else Path.cwd()).resolve()
-    modules = []
+    collectors = []
     for file_path in collect_paths(paths):
         resolved = file_path.resolve()
         try:
@@ -412,9 +447,15 @@ def build_program(paths: list[Path], config: AnalysisConfig,
             relpath = file_path.as_posix()
         source = resolved.read_text(encoding="utf-8")
         try:
-            collector = _ModuleCollector(resolved, relpath, source, config)
+            collectors.append(
+                _ModuleCollector(resolved, relpath, source, config))
         except SyntaxError as exc:
             raise ConfigError(
                 f"cannot parse {relpath}: {exc}") from None
-        modules.append(collector.collect())
+    # Class hierarchies first, across every module, so lock resolution in
+    # one module sees base classes declared in another.
+    classes: dict[str, list[str]] = {}
+    for collector in collectors:
+        classes.update(class_bases(collector.tree))
+    modules = [collector.collect(classes) for collector in collectors]
     return Program(config=config, modules=modules)

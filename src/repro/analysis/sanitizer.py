@@ -323,8 +323,9 @@ def instrument(obj, sanitizer: LockOrderSanitizer, _depth: int = 0):
 #: pytest fixture flag is on.  (module, class) pairs, resolved lazily.
 AUTO_INSTRUMENT_CLASSES = (
     ("repro.service.engine", "ServingEngine"),
-    ("repro.service.sharding", "ShardedEngine"),
-    ("repro.service.fleet", "ProcessShardFleet"),
+    # Both shard fleets subclass the router, whose constructor creates
+    # every router lock (and sees the process fleet's worker list).
+    ("repro.service.sharding", "ShardRouter"),
     ("repro.service.fleet", "_ShardWorker"),
     ("repro.graph.cache", "TransitionCache"),
     ("repro.core.graph_base", "RandomWalkRecommender"),

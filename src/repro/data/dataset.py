@@ -331,8 +331,8 @@ class RatingDataset:
 
         The single definition of "a valid rating event", shared by
         :meth:`extend` and the sharded tier's batch pre-pass
-        (``ShardedEngine._validate_events``) so the two layers can never
-        drift on what they accept. Raises :class:`DataError` naming the
+        (:func:`repro.service.sharding.validate_shard_events`) so the two
+        layers can never drift on what they accept. Raises :class:`DataError` naming the
         event's labels; returns the rating as ``float``.
         """
         rating = float(rating)

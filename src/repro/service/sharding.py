@@ -11,14 +11,19 @@ family:
   connected component into balanced shards — greedy bin-packing on
   component nnz (the walk-solve cost measure), users/items re-indexed per
   shard with label-preserving maps, saved/loaded as a versioned ``.npz``;
-* :class:`ShardedEngine` owns one :class:`~repro.service.ServingEngine`
-  per shard and routes every request to the owning shard:
-  ``recommend(user)`` by the user's shard, ``serve_cohort`` by splitting
-  the cohort and merging ranked arrays back in cohort order, and
-  ``apply_updates`` by event label (events on known users/items go to
-  their shard, events introducing brand-new labels go to the least-loaded
-  shard). Per-shard artifacts reuse :mod:`repro.core.artifacts`
-  (``fit`` → ``save`` → ``from_directory``, no refitting);
+* :class:`ShardRouter` is the routing core: it routes every request to
+  the owning shard — ``recommend(user)`` by the user's shard,
+  ``serve_cohort`` by splitting the cohort and merging ranked arrays back
+  in cohort order, and ``apply_updates`` by event label (events on known
+  users/items go to their shard, events introducing brand-new labels go
+  to the least-loaded shard) — and keeps the fleet row cache. It reaches
+  a shard through one hook speaking :func:`_worker_handle`'s vocabulary;
+* :class:`ShardedEngine` is the in-process backend: one
+  :class:`~repro.service.ServingEngine` per shard, called directly.
+  Per-shard artifacts reuse :mod:`repro.core.artifacts` (``fit`` →
+  ``save`` → ``from_directory``, no refitting). The process backend,
+  one supervised worker per shard, is
+  :class:`~repro.service.fleet.ProcessShardFleet`;
 * :class:`FleetReport` / :class:`FleetUpdateReport` merge the per-shard
   :class:`~repro.service.EngineReport` / :class:`~repro.service.UpdateReport`
   objects into one fleet-level summary with per-shard breakdowns.
@@ -41,7 +46,7 @@ those baselines; shard them only when per-tenant catalogues are the intent
 **Cross-shard updates.** On a component plan, a rating event joining a
 user in shard A to an item in shard B would merge two components across
 shard boundaries; no single engine can absorb it.
-:meth:`ShardedEngine.apply_updates` detects this and raises
+:meth:`ShardRouter.apply_updates` detects this and raises
 :class:`~repro.exceptions.ConfigError` naming the offending edge — the
 remedy is a re-plan (``repro.cli shard-fit``, ideally with
 ``--partitioner edge-cut``), not a silent wrong routing.
@@ -75,12 +80,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
+from repro.core.artifacts import save_artifact
 from repro.core.base import Recommendation, Recommender
 from repro.data.dataset import RatingDataset
 from repro.exceptions import (
     ArtifactError,
     ConfigError,
     DataError,
+    ShardUnavailableError,
     UnknownItemError,
     UnknownUserError,
 )
@@ -105,6 +112,7 @@ __all__ = [
     "ShardPlan",
     "FleetReport",
     "FleetUpdateReport",
+    "ShardRouter",
     "ShardedEngine",
     "validate_shard_events",
 ]
@@ -138,16 +146,16 @@ def validate_shard_events(dataset: RatingDataset, events,
                           policy: str) -> None:
     """Validate one shard's event slice against its dataset, mutating nothing.
 
-    The shared pre-pass both fleet tiers run before any shard absorbs a
-    batch (see :meth:`ShardedEngine.apply_updates`): rating values checked
-    against the dataset's scale via
+    The pre-pass every touched shard runs before any shard absorbs a
+    batch (``validate_events`` in :meth:`ShardRouter.apply_updates`):
+    rating values checked against the dataset's scale via
     :meth:`~repro.data.RatingDataset.check_event_rating`, and under
     ``policy == "error"`` duplicate pairs — within the batch or against
     already-stored ratings — rejected with the same
     :class:`~repro.exceptions.DataError` shapes :meth:`RatingDataset.extend`
-    would raise. The multi-process fleet additionally runs it worker-side
-    before a batch enters the write-ahead log, so the WAL only ever holds
-    batches that are guaranteed to replay cleanly.
+    would raise. On the process fleet it runs worker-side before a batch
+    enters the write-ahead log, so the WAL only ever holds batches that
+    are guaranteed to replay cleanly.
     """
     seen: set = set()
     for user_label, item_label, rating in events:
@@ -976,7 +984,7 @@ class FleetReport:
 
 @dataclass
 class FleetUpdateReport:
-    """One :meth:`ShardedEngine.apply_updates` batch across the fleet.
+    """One :meth:`ShardRouter.apply_updates` batch across the fleet.
 
     ``per_shard`` holds ``(shard_id, UpdateReport)`` pairs for the shards
     that received events; untouched shards keep serving warm and do not
@@ -1046,230 +1054,267 @@ class FleetUpdateReport:
                 for shard, report in self.per_shard]
 
 
-class ShardedEngine:
-    """A fleet of per-shard :class:`ServingEngine`\\ s behind one front.
+def _read_shard_dir(path: str) -> tuple[ShardPlan, list[str]]:
+    """The plan and per-shard artifact paths of a :meth:`ShardedEngine.save`
+    directory (``plan.npz`` plus one ``shard-NNN.npz`` per shard)."""
+    plan_path = os.path.join(path, _PLAN_FILENAME)
+    if not os.path.exists(plan_path):
+        raise ArtifactError(
+            f"{path!r} is not a sharded-artifact directory "
+            f"(no {_PLAN_FILENAME})"
+        )
+    plan = ShardPlan.load(plan_path)
+    return plan, [os.path.join(path, _shard_artifact_name(shard))
+                  for shard in range(plan.n_shards)]
 
-    The public surface mirrors the single engine — ``recommend`` /
-    ``serve_cohort`` / ``apply_updates`` / ``warm`` / ``stats`` — but every
-    request is routed to the shard that owns the user (or, for update
-    events, the shard that owns the event's labels) and answered there.
-    Global user/item indices are the *original dataset's*; users and items
-    registered later by updates are appended to the global space in shard
-    order. External labels are the stable identity across the fleet.
 
-    On top of the shard engines' own two cache layers, the fleet front
-    keeps a bounded LRU **row cache** of fully materialised response rows
-    per ``(user, k, exclude_rated)`` — the global-index remap and the row
-    assembly are work that exists only above the shard tier, so this is
-    where memoizing them pays: a fully warm cohort is answered without
-    touching a single shard (classic edge caching over a sharded backend).
-    Rows are shared across repeated serves; treat reports as read-only.
-    Updates evict the touched shard's users from the row cache (a
-    conservative superset of the affected users).
+def _hello(engine) -> dict:
+    """One shard's boot announcement: its shape, full label lists, version.
 
-    Parameters
-    ----------
-    plan:
-        The :class:`ShardPlan` the engines were fitted from.
-    engines:
-        One fitted :class:`ServingEngine` per shard, aligned with the
-        plan's shard ids. Engines whose datasets have grown beyond the
-        plan (updated artifacts) are absorbed: the extra labels join the
-        global index space.
-    result_cache_size:
-        Bound on the fleet row cache (entries are per-user ranked lists,
-        LRU-evicted beyond it); ``0`` disables it and every cohort request
-        goes through its shard engine (whose own caches still apply).
+    :class:`ShardRouter` builds its routing tables from one hello per
+    shard. A process-fleet worker sends it down its pipe before answering
+    any RPC; the in-process tier reads it straight off each engine.
+    """
+    dataset = engine.dataset
+    return {
+        "n_ratings": int(dataset.n_ratings),
+        "user_labels": dataset.user_labels,
+        "item_labels": dataset.item_labels,
+        "model_version": engine.model_version,
+    }
 
-    Build with :meth:`fit` (plan → per-shard fit) or
-    :meth:`from_directory` (per-shard artifacts written by :meth:`save` or
-    ``repro.cli shard-fit``).
+
+def _worker_handle(engine, method: str, payload: dict):
+    """Answer one shard RPC against ``engine``.
+
+    The one vocabulary both router backends speak: the in-process tier
+    calls it directly, a process-fleet worker calls it for every request
+    read off its pipe. Results are plain tuples, dicts and arrays, so they
+    pickle cheaply.
+    """
+    if method == "ping":
+        return {"pid": os.getpid(), "model_version": engine.model_version}
+    if method == "recommend":
+        ranked = engine.recommend(
+            payload["user"], k=payload["k"],
+            exclude_rated=payload["exclude_rated"],
+            exclude=payload["exclude"],
+        )
+        return [(int(r.item), r.label, float(r.score)) for r in ranked]
+    if method == "recommend_many":
+        ranked_lists = engine.recommend_many(
+            payload["users"], k=payload["k"],
+            exclude_rated=payload["exclude_rated"],
+            excludes=payload["excludes"],
+        )
+        return [[(int(r.item), r.label, float(r.score)) for r in ranked]
+                for ranked in ranked_lists]
+    if method == "serve_cohort":
+        report, _, items, scores = engine._serve_cohort_arrays(
+            payload["users"], k=payload["k"],
+            batch_size=payload["batch_size"],
+            exclude_rated=payload["exclude_rated"],
+        )
+        return {"report": report, "items": items, "scores": scores}
+    if method == "validate_events":
+        validate_shard_events(
+            engine.dataset, payload["events"],
+            payload["duplicates"] or engine.update_duplicates,
+        )
+        return None
+    if method == "apply_updates":
+        before = engine.dataset
+        known_users, known_items = before.n_users, before.n_items
+        report = engine.apply_updates(payload["events"],
+                                      duplicates=payload["duplicates"])
+        dataset = engine.dataset
+        return {
+            "report": report,
+            "new_user_labels": list(dataset.user_labels[known_users:]),
+            "new_item_labels": list(dataset.item_labels[known_items:]),
+            "model_version": engine.model_version,
+            "n_ratings": int(dataset.n_ratings),
+        }
+    if method == "invalidate_user":
+        return engine.invalidate_user(payload["user"])
+    if method == "save":
+        # The process fleet folds the shard's last applied WAL seqno into
+        # the checkpoint header; a future boot skips replaying batches the
+        # checkpoint already contains (DESIGN.md §13/§14).
+        return save_artifact(engine.recommender, payload["path"],
+                             extra_meta={"wal_seq": payload["wal_seq"]})
+    if method == "stats":
+        return engine.stats()
+    if method == "clear_caches":
+        engine.clear_caches()
+        return None
+    raise ConfigError(f"unknown shard method {method!r}")
+
+
+class ShardRouter:
+    """The routing core of a shard fleet, whichever way its shards run.
+
+    Owns, once for both backends: the routing tables (global ↔ local
+    indices, label → owner-shard dicts and, on halo plans, per-label
+    holder sets and global → local item maps), built from one
+    :func:`_hello` per shard; the fleet **row cache**, an LRU of fully
+    materialised rows per ``(user, k, exclude_rated)`` — the global remap
+    and row assembly exist only above the shard tier, so a warm cohort
+    touches no shard — with version-gated inserts and per-update
+    eviction of the touched shards' users; and the serving and update
+    surface built on them.
+
+    A subclass supplies the shards: every request reaches one through
+    :meth:`_call` ``(shard, method, payload)``, in
+    :func:`_worker_handle`'s vocabulary, and :meth:`_shard_version` /
+    :meth:`_shard_ratings` read per-shard state. :class:`ShardedEngine`
+    answers in process;
+    :class:`~repro.service.fleet.ProcessShardFleet` over worker pipes.
+
+    **Lock ordering:** ``_update_lock → per-shard lock → _routing_lock``,
+    with the row-cache ``_lock`` below all three; never acquire outward
+    while an inner lock is held. ``_update_lock`` serialises update
+    batches (and the process fleet's checkpoints). The per-shard lock
+    belongs to the backend: the process fleet's ``worker.lock`` orders
+    RPCs on one pipe, while in-process engines are thread-safe and need
+    none. ``_routing_lock`` guards the routing tables: readers take it
+    to snapshot a consistent view, :meth:`_absorb_new_labels` takes it to
+    grow them, and nothing slow (RPC, fsync, solve) ever runs under it.
     """
 
-    def __init__(self, plan: ShardPlan, engines,
+    def __init__(self, plan: ShardPlan, hellos,
                  result_cache_size: int = 65536):
-        engines = list(engines)
-        if not isinstance(plan, ShardPlan):
-            raise ConfigError(
-                f"ShardedEngine requires a ShardPlan; got {type(plan).__name__}"
-            )
-        if len(engines) != plan.n_shards:
-            raise ConfigError(
-                f"plan has {plan.n_shards} shards; got {len(engines)} engines"
-            )
-        for shard, engine in enumerate(engines):
-            if not isinstance(engine, ServingEngine):
-                raise ConfigError(
-                    f"engine {shard} is {type(engine).__name__}; "
-                    "expected ServingEngine"
-                )
-            base_users = plan.shard_users(shard).size
-            base_items = plan.shard_items(shard).size
-            if (engine.dataset.n_users < base_users
-                    or engine.dataset.n_items < base_items):
-                raise ConfigError(
-                    f"engine {shard} serves {engine.dataset.n_users} users × "
-                    f"{engine.dataset.n_items} items; the plan assigns it "
-                    f"{base_users} × {base_items} (owned + ghosts) — "
-                    "artifact/plan mismatch"
-                )
         self.plan = plan
-        self.engines = engines
         self.result_cache_size = check_non_negative_int(
             result_cache_size, "result_cache_size"
         )
-        self._rows: OrderedDict[tuple, list] = OrderedDict()  # guarded-by: sharded._lock
-        self.row_cache_hits = 0  # guarded-by: sharded._lock
-        self.row_cache_misses = 0  # guarded-by: sharded._lock
+        for shard, hello in enumerate(hellos):
+            n_users, n_items = (len(hello["user_labels"]),
+                                len(hello["item_labels"]))
+            base_users = plan.shard_users(shard).size
+            base_items = plan.shard_items(shard).size
+            if n_users < base_users or n_items < base_items:
+                raise ConfigError(
+                    f"shard {shard} serves {n_users} users × "
+                    f"{n_items} items; the plan assigns it "
+                    f"{base_users} × {base_items} (owned + ghosts) — "
+                    "artifact/plan mismatch"
+                )
+        self._rows: OrderedDict[tuple, list] = OrderedDict()  # guarded-by: router._lock
+        self.row_cache_hits = 0  # guarded-by: router._lock
+        self.row_cache_misses = 0  # guarded-by: router._lock
         self._lock = threading.RLock()
-        self._user_shard = plan.user_shard.copy()
-        self._user_local = plan.user_local.copy()
-        self._item_shard = plan.item_shard.copy()
-        self._item_local = plan.item_local.copy()
+        self._update_lock = threading.RLock()
+        self._routing_lock = threading.Lock()
+        self._user_shard = plan.user_shard.copy()  # guarded-by: _routing_lock
+        self._user_local = plan.user_local.copy()  # guarded-by: _routing_lock
+        self._item_shard = plan.item_shard.copy()  # guarded-by: _routing_lock
+        self._item_local = plan.item_local.copy()  # guarded-by: _routing_lock
         # Per-shard local → global translation covers owned nodes first,
         # then halo ghosts (matching the shard dataset's row/column order),
         # then anything updates appended later.
-        self._user_global = [plan.shard_users(s) for s in range(plan.n_shards)]
-        self._item_global = [plan.shard_items(s) for s in range(plan.n_shards)]
-        self._item_labels = np.empty(plan.n_items, dtype=object)
-        for shard, engine in enumerate(engines):
+        self._user_global = [plan.shard_users(s) for s in range(plan.n_shards)]  # guarded-by: _routing_lock
+        self._item_global = [plan.shard_items(s) for s in range(plan.n_shards)]  # guarded-by: _routing_lock
+        self._item_labels = np.empty(plan.n_items, dtype=object)  # guarded-by: _routing_lock
+        for shard, hello in enumerate(hellos):
             base = self._item_global[shard]
             self._item_labels[base] = _label_array(
-                engine.dataset.item_labels[:base.size]
+                hello["item_labels"][:base.size]
             )
         # Halo plans additionally keep a dense global→local item map per
-        # shard (−1 where absent) so exclusions translate for ghost items
-        # too; component shards translate through the owner maps instead.
+        # shard (−1 where absent), so exclusions translate for ghost items
+        # too, and per-label holder sets ("which shards hold this label,
+        # owned or ghost") for replica routing. Component plans translate
+        # and route through the owner maps alone.
+        halos = plan.has_halos
+        # guarded-by: _routing_lock
         self._item_local_in_shard: list[np.ndarray] | None = (
-            [np.empty(0, dtype=np.int64)] * plan.n_shards
-            if plan.has_halos else None
+            [np.empty(0, dtype=np.int64)] * plan.n_shards if halos else None
         )
-        self._user_shard_by_label: dict = {}
-        self._item_shard_by_label: dict = {}
-        for shard in range(plan.n_shards):
-            self._absorb_new_labels(shard)
+        self._user_label_shards: dict | None = {} if halos else None  # guarded-by: _routing_lock
+        self._item_label_shards: dict | None = {} if halos else None  # guarded-by: _routing_lock
+        self._user_shard_by_label: dict = {}  # guarded-by: _routing_lock
+        self._item_shard_by_label: dict = {}  # guarded-by: _routing_lock
+        for shard, hello in enumerate(hellos):
+            self._absorb_new_labels(shard, hello["user_labels"],
+                                    hello["item_labels"])
+        axes = [
+            (shard, axis, labels, lookup, owned.size, ghosts.size)
+            for shard, hello in enumerate(hellos)
+            for axis, labels, lookup, owned, ghosts in (
+                ("user", hello["user_labels"], self._user_shard_by_label,
+                 plan.users_of_shard(shard), plan.ghost_users_of_shard(shard)),
+                ("item", hello["item_labels"], self._item_shard_by_label,
+                 plan.items_of_shard(shard), plan.ghost_items_of_shard(shard)),
+            )
+        ]
         # Label ownership: every *non-ghost* label (owned by the plan, or
         # appended by absorbed updates) must live in exactly one shard;
         # ghost labels are replicas and must be owned elsewhere.
-        for shard, engine in enumerate(engines):
-            for axis, labels, lookup, ghost_count, owned_count in (
-                    ("user", engine.dataset.user_labels,
-                     self._user_shard_by_label,
-                     plan.ghost_users_of_shard(shard).size,
-                     plan.users_of_shard(shard).size),
-                    ("item", engine.dataset.item_labels,
-                     self._item_shard_by_label,
-                     plan.ghost_items_of_shard(shard).size,
-                     plan.items_of_shard(shard).size)):
-                for position, label in enumerate(labels):
-                    if owned_count <= position < owned_count + ghost_count:
-                        continue  # ghost replica; verified below
-                    owner = lookup.setdefault(label, shard)
-                    if owner != shard:
-                        raise ConfigError(
-                            f"{axis} label {label!r} appears in shards "
-                            f"{owner} and {shard}; shard datasets must be "
-                            "disjoint"
-                        )
-        if plan.has_halos:
-            for shard, engine in enumerate(engines):
-                for axis, labels, lookup, ghost_count, owned_count in (
-                        ("user", engine.dataset.user_labels,
-                         self._user_shard_by_label,
-                         plan.ghost_users_of_shard(shard).size,
-                         plan.users_of_shard(shard).size),
-                        ("item", engine.dataset.item_labels,
-                         self._item_shard_by_label,
-                         plan.ghost_items_of_shard(shard).size,
-                         plan.items_of_shard(shard).size)):
-                    for label in labels[owned_count:owned_count + ghost_count]:
-                        owner = lookup.get(label)
-                        if owner is None or owner == shard:
-                            raise ConfigError(
-                                f"ghost {axis} label {label!r} in shard "
-                                f"{shard} is not owned by any other shard — "
-                                "plan/artifact mismatch"
-                            )
-            for shard in range(plan.n_shards):
-                self._rebuild_item_map(shard)
-
-    # -- construction --------------------------------------------------------
+        for shard, axis, labels, lookup, owned, ghosts in axes:
+            for position, label in enumerate(labels):
+                if owned <= position < owned + ghosts:
+                    continue  # ghost replica; verified below
+                owner = lookup.setdefault(label, shard)
+                if owner != shard:
+                    raise ConfigError(
+                        f"{axis} label {label!r} appears in shards "
+                        f"{owner} and {shard}; shard datasets must be "
+                        "disjoint"
+                    )
+        for shard, axis, labels, lookup, owned, ghosts in axes:
+            for label in labels[owned:owned + ghosts]:
+                owner = lookup.get(label)
+                if owner is None or owner == shard:
+                    raise ConfigError(
+                        f"ghost {axis} label {label!r} in shard {shard} is "
+                        "not owned by any other shard — plan/artifact "
+                        "mismatch"
+                    )
+        if halos:
+            for shard, hello in enumerate(hellos):
+                for label in hello["user_labels"]:
+                    self._user_label_shards.setdefault(label, set()).add(shard)
+                for label in hello["item_labels"]:
+                    self._item_label_shards.setdefault(label, set()).add(shard)
+                self._rebuild_item_map_locked(shard)
 
     @classmethod
-    def fit(cls, dataset: RatingDataset, recommender_factory,
-            n_shards: int | None = None, plan: ShardPlan | None = None,
-            **engine_kwargs) -> "ShardedEngine":
-        """Plan (unless given), fit one recommender per shard, wrap engines.
-
-        ``recommender_factory`` is a zero-argument callable returning a
-        fresh unfitted :class:`~repro.core.base.Recommender` (each shard
-        gets its own instance); ``engine_kwargs`` are forwarded to every
-        per-shard :class:`ServingEngine` (cache sizes, worker pools, update
-        policy).
-        """
-        if plan is None:
-            if n_shards is None:
-                raise ConfigError("ShardedEngine.fit needs n_shards or a plan")
-            plan = ShardPlan.build(dataset, n_shards)
-        engines = []
-        for shard in range(plan.n_shards):
-            recommender = recommender_factory()
-            if not isinstance(recommender, Recommender):
-                raise ConfigError(
-                    "recommender_factory must return a Recommender; got "
-                    f"{type(recommender).__name__}"
-                )
-            recommender.fit(plan.shard_dataset(dataset, shard))
-            engines.append(ServingEngine(recommender, **engine_kwargs))
-        return cls(plan, engines)
-
-    @classmethod
-    def from_directory(cls, path: str, **engine_kwargs) -> "ShardedEngine":
-        """Boot a fleet from a directory written by :meth:`save`.
-
-        Expects ``plan.npz`` plus one ``shard-NNN.npz`` model artifact per
-        shard (loaded through :func:`repro.core.artifacts.load_artifact`
-        via :meth:`ServingEngine.from_artifact` — no refitting).
-        ``engine_kwargs`` reach every shard's
-        :meth:`ServingEngine.from_artifact`; pass ``mmap=True`` to
-        memory-map all shard artifacts instead of materialising them.
-        """
-        plan_path = os.path.join(path, _PLAN_FILENAME)
-        if not os.path.exists(plan_path):
-            raise ArtifactError(
-                f"{path!r} is not a sharded-artifact directory "
-                f"(no {_PLAN_FILENAME})"
+    def _require_plan(cls, plan, count: int, what: str) -> None:
+        """Constructor guard: a real plan with one ``what`` per shard."""
+        if not isinstance(plan, ShardPlan):
+            raise ConfigError(
+                f"{cls.__name__} requires a ShardPlan; "
+                f"got {type(plan).__name__}"
             )
-        plan = ShardPlan.load(plan_path)
-        engines = [
-            ServingEngine.from_artifact(
-                os.path.join(path, _shard_artifact_name(shard)), **engine_kwargs
+        if count != plan.n_shards:
+            raise ConfigError(
+                f"plan has {plan.n_shards} shards; got {count} {what}"
             )
-            for shard in range(plan.n_shards)
-        ]
-        return cls(plan, engines)
 
-    def save(self, path: str) -> str:
-        """Write ``plan.npz`` + per-shard model artifacts into ``path``.
+    # -- backend hooks -------------------------------------------------------
 
-        Reload with :meth:`from_directory`. Saving after updates persists
-        the grown shard datasets; on reload, post-update users/items rejoin
-        the global index space in shard order (their *labels* — the stable
-        identity — are unchanged).
+    def _call(self, shard: int, method: str, payload: dict):
+        """Run one :func:`_worker_handle` request on ``shard``.
+
+        After an ``apply_updates`` the backend has absorbed the shard's
+        new labels (:meth:`_absorb_new_labels`) before it returns.
         """
-        os.makedirs(path, exist_ok=True)
-        self.plan.save(os.path.join(path, _PLAN_FILENAME))
-        for shard, engine in enumerate(self.engines):
-            engine.recommender.save(
-                os.path.join(path, _shard_artifact_name(shard))
-            )
-        return path
+        raise NotImplementedError
+
+    def _shard_version(self, shard: int) -> int:
+        """The shard's model version now (gates row-cache inserts)."""
+        raise NotImplementedError
+
+    def _shard_ratings(self, shard: int) -> int:
+        """The shard's rating count (places brand-new labels)."""
+        raise NotImplementedError
 
     # -- shape ---------------------------------------------------------------
 
     @property
     def n_shards(self) -> int:
-        return len(self.engines)
+        return self.plan.n_shards
 
     @property
     def n_users(self) -> int:
@@ -1282,13 +1327,16 @@ class ShardedEngine:
     def shard_of_user(self, user: int) -> int:
         """The shard id serving a global user index."""
         self._check_user(user)
-        return int(self._user_shard[user])
+        with self._routing_lock:
+            return int(self._user_shard[user])
 
     def _check_user(self, user: int) -> None:
         if not is_index(user, self.n_users):
             raise UnknownUserError(user)
 
-    def _rebuild_item_map(self, shard: int) -> None:
+    # -- routing tables ------------------------------------------------------
+
+    def _rebuild_item_map_locked(self, shard: int) -> None:
         """Recompute one shard's dense global→local item map (halo plans)."""
         lookup = np.full(self.n_items, -1, dtype=np.int64)
         lookup[self._item_global[shard]] = np.arange(
@@ -1296,8 +1344,8 @@ class ShardedEngine:
         )
         self._item_local_in_shard[shard] = lookup
 
-    def _translate_exclusions(self, shard: int,
-                              banned: np.ndarray) -> np.ndarray:
+    def _translate_exclusions_locked(self, shard: int,
+                                     banned: np.ndarray) -> np.ndarray:
         """Global exclusion indices → the shard's local item indices.
 
         Exclusions the shard cannot see (other shards' items outside its
@@ -1312,6 +1360,67 @@ class ShardedEngine:
         mine = in_range[self._item_shard[in_range] == shard]
         return self._item_local[mine]
 
+    def _absorb_new_labels(self, shard: int, user_labels,
+                           item_labels) -> None:
+        """Append a shard's users/items beyond the known ones to the
+        global space.
+
+        ``user_labels`` / ``item_labels`` are the shard's full label
+        lists: its dataset's, or the process fleet's per-worker mirror.
+        Labels below the shard's known count are already registered, so
+        re-announcing them (a WAL replay regrowing a restarted worker)
+        registers nothing twice.
+        """
+        with self._routing_lock:
+            known = self._user_global[shard].size
+            if len(user_labels) > known:
+                count = len(user_labels) - known
+                self._user_global[shard] = np.concatenate([
+                    self._user_global[shard],
+                    np.arange(self.n_users, self.n_users + count,
+                              dtype=np.int64),
+                ])
+                self._user_shard = np.concatenate(
+                    [self._user_shard, np.full(count, shard, dtype=np.int64)]
+                )
+                self._user_local = np.concatenate([
+                    self._user_local,
+                    np.arange(known, known + count, dtype=np.int64),
+                ])
+                for label in user_labels[known:]:
+                    self._user_shard_by_label[label] = shard
+                    if self._user_label_shards is not None:
+                        self._user_label_shards.setdefault(
+                            label, set()).add(shard)
+            known = self._item_global[shard].size
+            if len(item_labels) > known:
+                count = len(item_labels) - known
+                self._item_global[shard] = np.concatenate([
+                    self._item_global[shard],
+                    np.arange(self.n_items, self.n_items + count,
+                              dtype=np.int64),
+                ])
+                self._item_shard = np.concatenate(
+                    [self._item_shard, np.full(count, shard, dtype=np.int64)]
+                )
+                self._item_local = np.concatenate([
+                    self._item_local,
+                    np.arange(known, known + count, dtype=np.int64),
+                ])
+                self._item_labels = np.concatenate(
+                    [self._item_labels, _label_array(item_labels[known:])]
+                )
+                for label in item_labels[known:]:
+                    self._item_shard_by_label[label] = shard
+                    if self._item_label_shards is not None:
+                        self._item_label_shards.setdefault(
+                            label, set()).add(shard)
+                if self._item_local_in_shard is not None:
+                    # The global item space grew: every shard's dense
+                    # global→local map must cover the new tail indices.
+                    for other in range(self.n_shards):
+                        self._rebuild_item_map_locked(other)
+
     # -- serving -------------------------------------------------------------
 
     def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
@@ -1321,25 +1430,33 @@ class ShardedEngine:
         ``exclude`` takes **global** item indices; exclusions living in
         other shards are dropped (the user's shard can never recommend
         them) and the rest are translated to shard-local indices. Returned
-        recommendations carry global item indices and labels.
+        recommendations carry global item indices and labels. On the
+        process fleet a down shard raises
+        :class:`~repro.exceptions.ShardUnavailableError`.
         """
         self._check_user(user)
-        shard = int(self._user_shard[user])
+        k = check_positive_int(k, "k")
         banned = as_exclude_array(exclude)
-        if banned.size:
-            banned = self._translate_exclusions(shard, banned)
-        ranked = self.engines[shard].recommend(
-            int(self._user_local[user]), k=k, exclude_rated=exclude_rated,
-            exclude=banned,
-        )
-        lookup = self._item_global[shard]
-        return [
-            Recommendation(int(lookup[r.item]), r.label, r.score)
-            for r in ranked
-        ]
+        with self._routing_lock:
+            shard = int(self._user_shard[user])
+            local = int(self._user_local[user])
+            if banned.size:
+                banned = self._translate_exclusions_locked(shard, banned)
+        ranked = self._call(shard, "recommend", {
+            "user": local,
+            "k": k,
+            "exclude_rated": bool(exclude_rated),
+            "exclude": banned,
+        })
+        # Read *after* the call: an apply absorbed meanwhile may have grown
+        # the shard's item space, and growth is append-only.
+        with self._routing_lock:
+            lookup = self._item_global[shard]
+        return [Recommendation(int(lookup[item]), label, score)
+                for item, label, score in ranked]
 
     def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
-                       excludes=None) -> list[list[Recommendation]]:
+                       excludes=None) -> list:
         """A batch of independent single-user requests, routed per shard.
 
         The fleet-side half of the micro-batching hook: requests are
@@ -1347,45 +1464,56 @@ class ShardedEngine:
         :meth:`ServingEngine.recommend_many` (one coalesced solve per
         depth group), and item indices are remapped shard-local → global.
         Exclusions are translated exactly as :meth:`recommend` translates
-        them (out-of-shard bans dropped — the shard can never recommend
-        them), so responses are bit-identical to calling :meth:`recommend`
-        once per request.
+        them, so responses are bit-identical to calling :meth:`recommend`
+        once per request. Degraded mode is per position: a request owned
+        by a down process-fleet shard yields a
+        :class:`~repro.exceptions.ShardUnavailableError` *instance* at its
+        position while every healthy shard's positions carry ranked lists.
         """
         users = list(users)
-        if excludes is None:
-            excludes = [None] * len(users)
-        else:
-            excludes = list(excludes)
-            if len(excludes) != len(users):
-                raise ConfigError(
-                    f"excludes has {len(excludes)} entries for "
-                    f"{len(users)} users"
-                )
+        excludes = [None] * len(users) if excludes is None else list(excludes)
+        if len(excludes) != len(users):
+            raise ConfigError(
+                f"excludes has {len(excludes)} entries for {len(users)} users"
+            )
         k = check_positive_int(k, "k")
         out: list = [None] * len(users)
         by_shard: dict[int, tuple[list, list, list]] = {}
-        for position, (user, exclude) in enumerate(zip(users, excludes)):
-            self._check_user(user)
-            shard = int(self._user_shard[user])
-            banned = as_exclude_array(exclude)
-            if banned.size:
-                banned = self._translate_exclusions(shard, banned)
-            positions, local_users, local_bans = by_shard.setdefault(
-                shard, ([], [], [])
-            )
-            positions.append(position)
-            local_users.append(int(self._user_local[user]))
-            local_bans.append(banned)
+        with self._routing_lock:
+            for position, (user, exclude) in enumerate(zip(users, excludes)):
+                self._check_user(user)
+                shard = int(self._user_shard[user])
+                banned = as_exclude_array(exclude)
+                if banned.size:
+                    banned = self._translate_exclusions_locked(shard, banned)
+                positions, local_users, local_bans = by_shard.setdefault(
+                    shard, ([], [], [])
+                )
+                positions.append(position)
+                local_users.append(int(self._user_local[user]))
+                local_bans.append(banned)
+        answered = []
         for shard, (positions, local_users, local_bans) in by_shard.items():
-            ranked_lists = self.engines[shard].recommend_many(
-                local_users, k=k, exclude_rated=exclude_rated,
-                excludes=local_bans,
-            )
-            lookup = self._item_global[shard]
+            try:
+                ranked_lists = self._call(shard, "recommend_many", {
+                    "users": local_users,
+                    "k": k,
+                    "exclude_rated": bool(exclude_rated),
+                    "excludes": local_bans,
+                })
+            except ShardUnavailableError as exc:
+                for position in positions:
+                    out[position] = exc
+                continue
+            answered.append((shard, positions, ranked_lists))
+        with self._routing_lock:
+            item_global = list(self._item_global)
+        for shard, positions, ranked_lists in answered:
+            lookup = item_global[shard]
             for position, ranked in zip(positions, ranked_lists):
                 out[position] = [
-                    Recommendation(int(lookup[r.item]), r.label, r.score)
-                    for r in ranked
+                    Recommendation(int(lookup[item]), label, score)
+                    for item, label, score in ranked
                 ]
         return out
 
@@ -1395,7 +1523,7 @@ class ShardedEngine:
 
         Users with a fleet row-cache entry are answered without touching
         any shard. The rest are split by owning shard, answered by each
-        engine's arrays path, remapped from shard-local to global item
+        shard's arrays path, remapped from shard-local to global item
         indices, materialised as rows (which enter the row cache) and
         merged back in original cohort order — byte-for-byte the shape an
         unsharded engine's report carries.
@@ -1425,31 +1553,42 @@ class ShardedEngine:
             else:
                 missing = list(range(users.size))
             if missing:
-                versions = [engine.model_version for engine in self.engines]
+                versions = [self._shard_version(shard)
+                            for shard in range(self.n_shards)]
                 positions = np.asarray(missing, dtype=np.int64)
                 miss_users = users[positions]
-                items = np.full((positions.size, k), -1, dtype=np.int64)
-                scores = np.full((positions.size, k), -np.inf)
-                shard_of = self._user_shard[miss_users]
+                with self._routing_lock:
+                    shard_of = self._user_shard[miss_users]
+                    local = self._user_local[miss_users]
+                answered = []
                 for shard in np.unique(shard_of):
                     shard = int(shard)
                     rows_of_shard = np.flatnonzero(shard_of == shard)
-                    local = self._user_local[miss_users[rows_of_shard]]
-                    shard_report, _, shard_items, shard_scores = (
-                        self.engines[shard]._serve_cohort_arrays(
-                            local, k=k, batch_size=batch_size,
-                            exclude_rated=exclude_rated,
-                        )
-                    )
-                    lookup = self._item_global[shard]
+                    result = self._call(shard, "serve_cohort", {
+                        "users": local[rows_of_shard],
+                        "k": k,
+                        "batch_size": batch_size,
+                        "exclude_rated": exclude_rated,
+                    })
+                    answered.append((shard, rows_of_shard, result))
+                    report.per_shard.append((shard, result["report"]))
+                # After the calls, so these (append-only) arrays cover every
+                # global id the replies can reference.
+                with self._routing_lock:
+                    item_global = list(self._item_global)
+                    item_labels = self._item_labels
+                items = np.full((positions.size, k), -1, dtype=np.int64)
+                scores = np.full((positions.size, k), -np.inf)
+                for shard, rows_of_shard, result in answered:
+                    lookup = item_global[shard]
+                    shard_items = result["items"]
                     valid = shard_items >= 0
                     items[rows_of_shard] = np.where(
                         valid, lookup[np.where(valid, shard_items, 0)], -1
                     )
-                    scores[rows_of_shard] = shard_scores
-                    report.per_shard.append((shard, shard_report))
+                    scores[rows_of_shard] = result["scores"]
                 flat = rows_from_ranked_arrays(
-                    miss_users, items, scores, self._item_labels
+                    miss_users, items, scores, item_labels
                 )
                 bounds = np.concatenate(
                     [[0], np.cumsum((items >= 0).sum(axis=1))]
@@ -1460,17 +1599,18 @@ class ShardedEngine:
                 if self.result_cache_size:
                     with self._lock:
                         # Shard solves ran outside the lock; skip inserting
-                        # rows whose shard absorbed an update meanwhile
-                        # (version bumped, its users evicted) — re-caching
-                        # them would serve pre-update rows indefinitely.
+                        # rows whose shard absorbed an update (or restarted)
+                        # meanwhile — its version moved and its users were
+                        # evicted, so re-caching them would serve pre-update
+                        # rows indefinitely.
+                        moved = {shard for shard in range(self.n_shards)
+                                 if self._shard_version(shard)
+                                 != versions[shard]}
                         for index, position in enumerate(missing):
-                            user = int(users[position])
-                            shard = int(self._user_shard[user])
-                            if self.engines[shard].model_version != versions[shard]:
+                            if int(shard_of[index]) in moved:
                                 continue
-                            self._rows[(user, k, exclude_rated)] = (
-                                per_position[position]
-                            )
+                            self._rows[(int(users[position]), k,
+                                        exclude_rated)] = per_position[position]
                         while len(self._rows) > self.result_cache_size:
                             self._rows.popitem(last=False)
             rows: list = []
@@ -1482,7 +1622,8 @@ class ShardedEngine:
         return report
 
     def warm(self, users=None, k: int = 10, batch_size: int = 256) -> FleetReport:
-        """Pre-fill every shard's caches (default: every user)."""
+        """Pre-fill the row cache and every shard's caches (default: every
+        user)."""
         if users is None:
             users = np.arange(self.n_users, dtype=np.int64)
         return self.serve_cohort(users, k=k, batch_size=batch_size)
@@ -1520,10 +1661,11 @@ class ShardedEngine:
         An edge between two known labels co-located *nowhere* exceeds
         what the halo covers and raises :class:`ConfigError`.
 
-        The whole batch is pre-validated (rating values and scale, the
-        ``duplicates`` policy, cross-shard edges) before any shard
-        mutates, so a bad event rejects the batch with the fleet
-        untouched. Each touched shard then absorbs its slice through
+        Every touched shard validates its slice first (rating values and
+        scale, the ``duplicates`` policy), so a bad event rejects the
+        batch with the fleet untouched; a down process-fleet shard raises
+        :class:`~repro.exceptions.ShardUnavailableError` at this stage.
+        Each touched shard then absorbs its slice through
         :meth:`ServingEngine.apply_updates` (targeted invalidation, model
         version bump); untouched shards keep serving fully warm.
         """
@@ -1532,41 +1674,47 @@ class ShardedEngine:
         if not events:
             return report
         with Timer() as timer:
-            if self.plan.has_halos:
-                routed, stale = self._route_events_halo(events)
-            else:
-                routed = self._route_events_component(events)
-                stale = 0
-            for shard, shard_events in enumerate(routed):
-                if shard_events:
-                    self._validate_events(shard, shard_events, duplicates)
-            for shard, shard_events in enumerate(routed):
-                if not shard_events:
-                    continue
-                update = self.engines[shard].apply_updates(
-                    shard_events, duplicates=duplicates
-                )
-                self._absorb_new_labels(shard)
-                report.per_shard.append((shard, update))
-            # One row-cache eviction pass for the whole batch, after every
-            # touched shard has applied (all model versions already bumped,
-            # so the version-gated insert in serve_cohort cannot re-admit a
-            # pre-update row behind this sweep) — a batch spanning S shards
-            # costs one cache scan, not S.
-            report.fleet_rows_evicted = self._evict_shard_rows(
-                shard for shard, _ in report.per_shard
-            )
-            if stale:
-                report.stale_ghost_events = stale
-                report.hint = (
-                    f"{stale} event(s) could not reach every halo replica "
-                    "of their endpoints; the untouched ghost copies drift "
-                    f"within the documented bound — {EDGE_CUT_HINT}"
-                )
+            with self._update_lock:
+                with self._routing_lock:
+                    if self.plan.has_halos:
+                        routed, stale = self._route_events_halo_locked(events)
+                    else:
+                        routed = self._route_events_component_locked(events)
+                        stale = 0
+                touched = [shard for shard in range(self.n_shards)
+                           if routed[shard]]
+                # Shards apply one after another, so without this pre-pass a
+                # bad event for shard 2 would leave shards 0–1 updated —
+                # neither applied nor rejected, and a retry would
+                # double-apply.
+                for shard in touched:
+                    self._call(shard, "validate_events", {
+                        "events": routed[shard],
+                        "duplicates": duplicates,
+                    })
+                for shard in touched:
+                    response = self._call(shard, "apply_updates", {
+                        "events": routed[shard],
+                        "duplicates": duplicates,
+                    })
+                    report.per_shard.append((shard, response["report"]))
+                # One row-cache eviction pass for the whole batch, after every
+                # touched shard has applied (all model versions already
+                # bumped, so serve_cohort's version-gated insert cannot
+                # re-admit a pre-update row behind this sweep).
+                report.fleet_rows_evicted = self._evict_shard_rows(touched)
+                if stale:
+                    report.stale_ghost_events = stale
+                    report.hint = (
+                        f"{stale} event(s) could not reach every halo "
+                        "replica of their endpoints; the untouched ghost "
+                        "copies drift within the documented bound — "
+                        f"{EDGE_CUT_HINT}"
+                    )
         report.seconds = timer.elapsed
         return report
 
-    def _route_events_component(self, events) -> list[list]:
+    def _route_events_component_locked(self, events) -> list[list]:
         """Union-find routing for component plans (see :meth:`apply_updates`)."""
         # Union-find over the batch's labels, namespaced "u"/"i" — a
         # user and an item may legitimately share an external label.
@@ -1600,12 +1748,12 @@ class ShardedEngine:
                 group_label.setdefault(root, label)
                 if owner != known:
                     raise ConfigError(
-                        self._cross_shard_message(
+                        self._cross_shard_message_locked(
                             events, group_label[root], owner, label, known
                         )
                     )
         routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [engine.dataset.n_ratings for engine in self.engines]
+        loads = [self._shard_ratings(shard) for shard in range(self.n_shards)]
         for event in events:
             root = find(("u", event[0]))
             shard = group_shard.get(root)
@@ -1616,8 +1764,8 @@ class ShardedEngine:
             routed[shard].append(event)
         return routed
 
-    def _cross_shard_message(self, events, label_a, shard_a, label_b,
-                             shard_b) -> str:
+    def _cross_shard_message_locked(self, events, label_a, shard_a, label_b,
+                                    shard_b) -> str:
         """Name the offending cross-shard edge as concretely as possible.
 
         Prefers an actual event from the batch whose two endpoints live in
@@ -1644,7 +1792,7 @@ class ShardedEngine:
             f"tier — {EDGE_CUT_HINT}"
         )
 
-    def _route_events_halo(self, events) -> tuple[list[list], int]:
+    def _route_events_halo_locked(self, events) -> tuple[list[list], int]:
         """Per-event replica routing for edge-cut plans.
 
         Returns ``(routed, stale)`` where ``routed[shard]`` is the
@@ -1654,15 +1802,15 @@ class ShardedEngine:
         batch so later events in the same batch route consistently.
         """
         routed: list[list] = [[] for _ in range(self.n_shards)]
-        loads = [engine.dataset.n_ratings for engine in self.engines]
+        loads = [self._shard_ratings(shard) for shard in range(self.n_shards)]
         pending_users: dict = {}
         pending_items: dict = {}
         stale = 0
         for event in events:
             user_label, item_label = event[0], event[1]
-            user_shards = self._shards_with(
+            user_shards = self._shards_with_locked(
                 user_label, "user", pending_users)
-            item_shards = self._shards_with(
+            item_shards = self._shards_with_locked(
                 item_label, "item", pending_items)
             if user_shards and item_shards:
                 both = sorted(user_shards & item_shards)
@@ -1708,38 +1856,15 @@ class ShardedEngine:
                 pending_items[item_label] = shard
         return routed, stale
 
-    def _shards_with(self, label, axis: str, pending: dict) -> set:
+    def _shards_with_locked(self, label, axis: str, pending: dict) -> set:
         """Every shard whose dataset holds ``label`` (owned or ghost),
         plus a registration pending earlier in the current batch."""
-        shards = set()
-        for shard, engine in enumerate(self.engines):
-            try:
-                if axis == "user":
-                    engine.dataset.user_id(label)
-                else:
-                    engine.dataset.item_id(label)
-            except (UnknownUserError, UnknownItemError):
-                continue
-            shards.add(shard)
+        lookup = (self._user_label_shards if axis == "user"
+                  else self._item_label_shards)
+        shards = set(lookup.get(label, ()))
         if label in pending:
             shards.add(pending[label])
         return shards
-
-    def _validate_events(self, shard: int, events, duplicates: str | None,
-                         ) -> None:
-        """Reject a bad batch before ANY shard mutates.
-
-        Shards apply sequentially, so without this pre-pass a malformed
-        event for shard 2 would leave shards 0–1 already updated — neither
-        applied nor rejected, and retrying would double-apply. Mirrors the
-        checks :meth:`RatingDataset.extend` performs (rating value and
-        scale, plus the ``duplicates="error"`` policy against both the
-        batch and the base), raising the same :class:`DataError` shapes
-        while the fleet is still untouched.
-        """
-        engine = self.engines[shard]
-        validate_shard_events(engine.dataset, events,
-                              duplicates or engine.update_duplicates)
 
     def _evict_shard_rows(self, shards) -> int:
         """Drop the fleet row cache's entries for the given shards' users.
@@ -1753,81 +1878,188 @@ class ShardedEngine:
         touched = set(int(s) for s in shards)
         if not touched:
             return 0
+        with self._routing_lock:
+            user_shard = self._user_shard
         with self._lock:
             stale = [key for key in self._rows
-                     if int(self._user_shard[key[0]]) in touched]
+                     if int(user_shard[key[0]]) in touched]
             for key in stale:
                 del self._rows[key]
             return len(stale)
 
-    def _absorb_new_labels(self, shard: int) -> None:
-        """Append a shard's post-update users/items to the global space."""
-        engine = self.engines[shard]
-        dataset = engine.dataset
-        known = self._user_global[shard].size
-        if dataset.n_users > known:
-            count = dataset.n_users - known
-            fresh = np.arange(self.n_users, self.n_users + count,
-                              dtype=np.int64)
-            self._user_global[shard] = np.concatenate(
-                [self._user_global[shard], fresh]
-            )
-            self._user_shard = np.concatenate(
-                [self._user_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._user_local = np.concatenate(
-                [self._user_local,
-                 np.arange(known, dataset.n_users, dtype=np.int64)]
-            )
-            for label in dataset.user_labels[known:]:
-                self._user_shard_by_label[label] = shard
-        known = self._item_global[shard].size
-        if dataset.n_items > known:
-            count = dataset.n_items - known
-            fresh = np.arange(self.n_items, self.n_items + count,
-                              dtype=np.int64)
-            self._item_global[shard] = np.concatenate(
-                [self._item_global[shard], fresh]
-            )
-            self._item_shard = np.concatenate(
-                [self._item_shard, np.full(count, shard, dtype=np.int64)]
-            )
-            self._item_local = np.concatenate(
-                [self._item_local,
-                 np.arange(known, dataset.n_items, dtype=np.int64)]
-            )
-            self._item_labels = np.concatenate(
-                [self._item_labels, _label_array(dataset.item_labels[known:])]
-            )
-            for label in dataset.item_labels[known:]:
-                self._item_shard_by_label[label] = shard
-            if self._item_local_in_shard is not None:
-                # The global item space grew: every shard's dense
-                # global→local map must cover the new tail indices.
-                for other in range(self.n_shards):
-                    self._rebuild_item_map(other)
-
     # -- lifecycle / introspection -------------------------------------------
 
-    def clear_caches(self) -> None:
-        """Drop the fleet row cache and both cache layers on every shard."""
-        with self._lock:
-            self._rows.clear()
-            self.row_cache_hits = 0
-            self.row_cache_misses = 0
-        for engine in self.engines:
-            engine.clear_caches()
-
     def invalidate_user(self, user: int) -> int:
-        """Evict one global user's rows: fleet row cache + shard cache."""
+        """Evict one global user's rows from the fleet row cache and from
+        the owning shard's result cache; returns the shard entries dropped."""
         self._check_user(user)
+        with self._routing_lock:
+            shard = int(self._user_shard[user])
+            local = int(self._user_local[user])
         with self._lock:
             stale = [key for key in self._rows if key[0] == int(user)]
             for key in stale:
                 del self._rows[key]
-        return self.engines[int(self._user_shard[user])].invalidate_user(
-            int(self._user_local[user])
-        )
+        return self._call(shard, "invalidate_user", {"user": local})
+
+    def clear_caches(self) -> None:
+        """Drop the fleet row cache and both cache layers on every live
+        shard."""
+        with self._lock:
+            self._rows.clear()
+            self.row_cache_hits = 0
+            self.row_cache_misses = 0
+        for shard in range(self.n_shards):
+            try:
+                self._call(shard, "clear_caches", {})
+            except ShardUnavailableError:
+                continue
+
+    def stats(self) -> dict:
+        """Fleet shape and row-cache counters plus each shard's own stats
+        (``{"state": "down"}`` for a down process-fleet shard)."""
+        with self._lock:
+            fleet = {
+                "n_shards": self.n_shards,
+                "n_users": self.n_users,
+                "n_items": self.n_items,
+                "row_entries": len(self._rows),
+                "row_hits": self.row_cache_hits,
+                "row_misses": self.row_cache_misses,
+            }
+        shards = []
+        for shard in range(self.n_shards):
+            try:
+                shard_stats = self._call(shard, "stats", {})
+            except ShardUnavailableError:
+                shard_stats = {"state": "down"}
+            shards.append({"shard": shard, **shard_stats})
+        fleet["shards"] = shards
+        return fleet
+
+
+class ShardedEngine(ShardRouter):
+    """A fleet of per-shard :class:`ServingEngine`\\ s behind one front.
+
+    The single engine's surface, with every request routed to the owning
+    shard by :class:`ShardRouter`. Global user/item indices are the
+    *original dataset's*; users and items registered later by updates are
+    appended to the global space in shard order. External labels are the
+    stable identity across the fleet. Rows are shared across repeated
+    serves; treat reports as read-only.
+
+    Parameters
+    ----------
+    plan:
+        The :class:`ShardPlan` the engines were fitted from.
+    engines:
+        One fitted :class:`ServingEngine` per shard, aligned with the
+        plan's shard ids. Engines whose datasets have grown beyond the
+        plan (updated artifacts) are absorbed: the extra labels join the
+        global index space.
+    result_cache_size:
+        Bound on the fleet row cache (entries are per-user ranked lists,
+        LRU-evicted beyond it); ``0`` disables it and every cohort request
+        goes through its shard engine (whose own caches still apply).
+
+    Build with :meth:`fit` (plan → per-shard fit) or
+    :meth:`from_directory` (per-shard artifacts written by :meth:`save` or
+    ``repro.cli shard-fit``).
+    """
+
+    def __init__(self, plan: ShardPlan, engines,
+                 result_cache_size: int = 65536):
+        engines = list(engines)
+        self._require_plan(plan, len(engines), "engines")
+        for shard, engine in enumerate(engines):
+            if not isinstance(engine, ServingEngine):
+                raise ConfigError(
+                    f"engine {shard} is {type(engine).__name__}; "
+                    "expected ServingEngine"
+                )
+        self.engines = engines
+        super().__init__(plan, [_hello(engine) for engine in engines],
+                         result_cache_size)
+
+    # -- construction --------------------------------------------------------
+
+    @classmethod
+    def fit(cls, dataset: RatingDataset, recommender_factory,
+            n_shards: int | None = None, plan: ShardPlan | None = None,
+            **engine_kwargs) -> "ShardedEngine":
+        """Plan (unless given), fit one recommender per shard, wrap engines.
+
+        ``recommender_factory`` is a zero-argument callable returning a
+        fresh unfitted :class:`~repro.core.base.Recommender` (each shard
+        gets its own instance); ``engine_kwargs`` are forwarded to every
+        per-shard :class:`ServingEngine` (cache sizes, worker pools, update
+        policy).
+        """
+        if plan is None:
+            if n_shards is None:
+                raise ConfigError("ShardedEngine.fit needs n_shards or a plan")
+            plan = ShardPlan.build(dataset, n_shards)
+        engines = []
+        for shard in range(plan.n_shards):
+            recommender = recommender_factory()
+            if not isinstance(recommender, Recommender):
+                raise ConfigError(
+                    "recommender_factory must return a Recommender; got "
+                    f"{type(recommender).__name__}"
+                )
+            recommender.fit(plan.shard_dataset(dataset, shard))
+            engines.append(ServingEngine(recommender, **engine_kwargs))
+        return cls(plan, engines)
+
+    @classmethod
+    def from_directory(cls, path: str, **engine_kwargs) -> "ShardedEngine":
+        """Boot a fleet from a directory written by :meth:`save`.
+
+        Expects ``plan.npz`` plus one ``shard-NNN.npz`` model artifact per
+        shard (loaded through :func:`repro.core.artifacts.load_artifact`
+        via :meth:`ServingEngine.from_artifact` — no refitting).
+        ``engine_kwargs`` reach every shard's
+        :meth:`ServingEngine.from_artifact`; pass ``mmap=True`` to
+        memory-map all shard artifacts instead of materialising them.
+        """
+        plan, paths = _read_shard_dir(path)
+        return cls(plan, [ServingEngine.from_artifact(p, **engine_kwargs)
+                          for p in paths])
+
+    def save(self, path: str) -> str:
+        """Write ``plan.npz`` + per-shard model artifacts into ``path``.
+
+        Reload with :meth:`from_directory`. Saving after updates persists
+        the grown shard datasets; on reload, post-update users/items rejoin
+        the global index space in shard order (their *labels* — the stable
+        identity — are unchanged).
+        """
+        os.makedirs(path, exist_ok=True)
+        self.plan.save(os.path.join(path, _PLAN_FILENAME))
+        for shard, engine in enumerate(self.engines):
+            engine.recommender.save(
+                os.path.join(path, _shard_artifact_name(shard))
+            )
+        return path
+
+    # -- shard backend -------------------------------------------------------
+
+    def _call(self, shard: int, method: str, payload: dict):
+        engine = self.engines[shard]
+        result = _worker_handle(engine, method, payload)
+        if method == "apply_updates":
+            dataset = engine.dataset
+            self._absorb_new_labels(shard, dataset.user_labels,
+                                    dataset.item_labels)
+        return result
+
+    def _shard_version(self, shard: int) -> int:
+        return self.engines[shard].model_version
+
+    def _shard_ratings(self, shard: int) -> int:
+        return self.engines[shard].dataset.n_ratings
+
+    # -- lifecycle / introspection -------------------------------------------
 
     def close(self) -> None:
         """Shut down every shard engine's worker pool."""
@@ -1852,20 +2084,6 @@ class ShardedEngine:
                 for shard, engine in enumerate(self.engines)
             ],
         }
-
-    def stats(self) -> dict:
-        """Fleet shape and row-cache counters plus each shard's own stats."""
-        with self._lock:
-            fleet = {
-                "n_shards": self.n_shards,
-                "n_users": self.n_users,
-                "n_items": self.n_items,
-                "row_entries": len(self._rows),
-                "row_hits": self.row_cache_hits,
-                "row_misses": self.row_cache_misses,
-            }
-        fleet["shards"] = [engine.stats() for engine in self.engines]
-        return fleet
 
     def __repr__(self) -> str:
         return (

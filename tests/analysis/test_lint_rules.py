@@ -54,6 +54,29 @@ class TestLockOrder:
         result = lint(config, "lockorder_ok.py")
         assert result.findings == []
 
+    def test_base_class_locks_resolve_in_subclass_module(self, config,
+                                                         tmp_path):
+        # The fixture config declares both locks on Widget only; Gadget
+        # lives in another module and inherits the locks and the helper.
+        (tmp_path / "base.py").write_text(
+            "import threading\n\n\n"
+            "class Widget:\n"
+            "    def __init__(self):\n"
+            "        self._outer = threading.Lock()\n"
+            "        self._inner = threading.Lock()\n\n"
+            "    def _take_outer(self):\n"
+            "        with self._outer:\n"
+            "            pass\n")
+        (tmp_path / "sub.py").write_text(
+            "from base import Widget\n\n\n"
+            "class Gadget(Widget):\n"
+            "    def backwards(self):\n"
+            "        with self._inner:\n"
+            "            self._take_outer()\n")
+        result = run_lint([tmp_path], config=config, root=tmp_path)
+        assert [f.key for f in result.new] == [
+            "lock-order:sub.py:Gadget.backwards:inner->outer"]
+
 
 class TestGuardedAttribute:
     def test_unlocked_write_flagged(self, config):

@@ -136,7 +136,12 @@ class TestInstrument:
             def __init__(self):
                 self.lock = threading.Lock()
 
-        class ProcessShardFleet:
+        class ShardRouter:
+            pass
+
+        # The locks are declared on the base class; the subclass's
+        # instance resolves them through its MRO.
+        class ProcessShardFleet(ShardRouter):
             def __init__(self):
                 self._routing_lock = threading.Lock()
                 self._workers = [_ShardWorker()]

@@ -256,8 +256,8 @@ class TestHaloUpdates:
         fleet = self._fresh_fleet(giant, plan)
         user_label = giant.user_labels[0]
         item_label = giant.item_labels[giant.matrix[0].indices[0]]
-        holders = fleet._shards_with(user_label, "user", {})
-        holders &= fleet._shards_with(item_label, "item", {})
+        holders = fleet._shards_with_locked(user_label, "user", {})
+        holders &= fleet._shards_with_locked(item_label, "item", {})
         report = fleet.apply_updates([(user_label, item_label, 5.0)],
                                      duplicates="last")
         assert report.n_shards_touched == len(holders)
@@ -269,7 +269,7 @@ class TestHaloUpdates:
         fleet = self._fresh_fleet(giant, plan)
         user_label = giant.user_labels[0]
         owner = fleet._user_shard_by_label[user_label]
-        replicas = fleet._shards_with(user_label, "user", {})
+        replicas = fleet._shards_with_locked(user_label, "user", {})
         report = fleet.apply_updates([(user_label, "fresh-item", 4.0)])
         assert report.n_new_items == 1
         assert [shard for shard, _ in report.per_shard] == [owner]
@@ -286,10 +286,10 @@ class TestHaloUpdates:
         pair = None
         for user in range(giant.n_users):
             user_label = giant.user_labels[user]
-            holders = fleet._shards_with(user_label, "user", {})
+            holders = fleet._shards_with_locked(user_label, "user", {})
             for item in range(giant.n_items):
                 item_label = giant.item_labels[item]
-                if not holders & fleet._shards_with(item_label, "item", {}):
+                if not holders & fleet._shards_with_locked(item_label, "item", {}):
                     pair = (user_label, item_label)
                     break
             if pair:

@@ -187,6 +187,23 @@ class TestUpdates:
             )
 
 
+class TestInvalidateUser:
+    def test_invalidate_reaches_the_worker_result_cache(self, federated,
+                                                        artifacts_dir, fleet):
+        # The user's ranked list lives in the worker's engine cache, not in
+        # the supervisor's row cache: invalidation must reach the worker,
+        # and report the same count as the in-process fleet.
+        reference = ShardedEngine.from_directory(artifacts_dir)
+        user = federated.n_users // 2
+        fleet.recommend(user, k=5)
+        reference.recommend(user, k=5)
+        assert fleet.invalidate_user(user) == reference.invalidate_user(user)
+        shard = fleet.shard_of_user(user)
+        before = fleet.stats()["shards"][shard]["result_misses"]
+        fleet.recommend(user, k=5)
+        assert fleet.stats()["shards"][shard]["result_misses"] == before + 1
+
+
 class TestCheckpointAndWal:
     def test_wal_written_then_truncated_by_save(self, federated, fleet,
                                                 tmp_path):

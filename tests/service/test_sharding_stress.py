@@ -7,11 +7,14 @@ users. A solve that started *before* the update may finish *after* it —
 the version-stamped insert must refuse to cache those stale rows, and any
 read that starts after the update completes must see post-update rows.
 
-The oracle is a single :class:`ServingEngine` over the same data receiving
-the same events: its post-update cohort rows are the only acceptable
-answer for post-update reads. Each round rates the target user's current
-top-ranked item, which guarantees the user's row changes (the item
-becomes rated, so ``exclude_rated=True`` must drop it).
+Both fleets run every scenario — the in-process :class:`ShardedEngine` and
+the :class:`ProcessShardFleet` booted from its saved artifacts — since
+they share one router. The oracle is a single :class:`ServingEngine`
+over the same data receiving the same events: its post-update cohort
+rows are the only acceptable answer for post-update reads. Each round
+rates the target user's current top-ranked item, which guarantees the
+user's row changes (the item becomes rated, so ``exclude_rated=True``
+must drop it).
 """
 
 import threading
@@ -22,6 +25,7 @@ import pytest
 
 from repro import AbsorbingTimeRecommender, ServingEngine, ShardedEngine
 from repro.data.synthetic import federated_dataset
+from repro.service import ProcessShardFleet
 
 N_SHARDS = 3
 K = 5
@@ -34,12 +38,17 @@ def federated():
     return federated_dataset(4, scale=0.12, seed=21)
 
 
-@pytest.fixture()
-def pair(federated):
+@pytest.fixture(params=["in-process", "process"])
+def pair(request, federated, tmp_path):
     """A fleet and its single-engine oracle, fitted on the same data."""
     fleet = ShardedEngine.fit(federated, AbsorbingTimeRecommender,
                               n_shards=N_SHARDS)
     single = ServingEngine(AbsorbingTimeRecommender().fit(federated))
+    if request.param == "process":
+        path = fleet.save(str(tmp_path / "fleet"))
+        fleet = ProcessShardFleet.from_directory(
+            path, wal_dir=str(tmp_path / "wal"))
+        request.addfinalizer(fleet.close)
     return fleet, single
 
 
@@ -113,6 +122,8 @@ class TestRowCacheUnderConcurrentUpdates:
         assert fleet.serve_cohort(cohort, k=K).rows == \
             single.serve_cohort(cohort, k=K).rows
 
+    # Patches a shard engine object, which only the in-process fleet has.
+    @pytest.mark.parametrize("pair", ["in-process"], indirect=True)
     def test_update_mid_flight_refuses_stale_cache_insert(self, pair,
                                                           federated):
         # Deterministic version of the race: the target shard's version
