@@ -154,6 +154,10 @@ class _FunctionWalker:
         self.walk(node, held)
 
     def _resolve_lock(self, expr: ast.AST):
+        if isinstance(expr, ast.Subscript):
+            # One element of a list of locks (``self._shard_locks[i]``) is
+            # the lock the list attribute declares.
+            expr = expr.value
         if not isinstance(expr, ast.Attribute):
             return None
         if not isinstance(expr.value, ast.Name):

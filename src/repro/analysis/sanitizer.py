@@ -301,21 +301,24 @@ def instrument(obj, sanitizer: LockOrderSanitizer, _depth: int = 0):
 
     Descends one level into list/tuple attributes so container objects
     (e.g. the fleet's ``_workers`` list) get their elements' locks
-    instrumented too.  Returns ``obj``.
+    instrumented too; bare locks held in a list (e.g. the in-process
+    fleet's ``_shard_locks``) are wrapped in place under the name the
+    list attribute declares.  Returns ``obj``.
     """
     attrs = getattr(obj, "__dict__", None)
-    if attrs is None:
+    if attrs is None or isinstance(obj, SanitizedLock):
         return obj
     for attr, value in list(attrs.items()):
+        name = (sanitizer.canonical_name(attr, type(obj))
+                or f"{type(obj).__name__}.{attr}")
         if isinstance(value, _LOCK_TYPES):
-            name = (sanitizer.canonical_name(attr, type(obj))
-                    or f"{type(obj).__name__}.{attr}")
             setattr(obj, attr, SanitizedLock(value, sanitizer, name))
-        elif isinstance(value, SanitizedLock):
-            continue
         elif _depth == 0 and isinstance(value, (list, tuple)):
-            for item in value:
-                instrument(item, sanitizer, _depth=1)
+            for position, item in enumerate(value):
+                if isinstance(item, _LOCK_TYPES) and isinstance(value, list):
+                    value[position] = SanitizedLock(item, sanitizer, name)
+                else:
+                    instrument(item, sanitizer, _depth=1)
     return obj
 
 

@@ -299,26 +299,31 @@ class RandomWalkRecommender(Recommender):
         Used when the BFS budget genuinely truncates: the subgraph then
         depends on the query's expansion order and cannot be shared across
         *different* queries — but it is deterministic per query, so the
-        subgraph and its prepared operator come from the cache and a
-        repeated request skips the traversal, the sparse setup and the
-        validation.
+        subgraph's :class:`~repro.graph.subgraph.NodeIndex` and its prepared
+        operator come from the cache and a repeated request skips the
+        traversal, the sparse setup and the validation. The index's sorted
+        inverse maps the absorbing set to local positions; reachability is
+        the operator's single component label whenever the BFS proved the
+        subgraph connected — always, for seeds that are one user's ratings,
+        unless there are more of them than µ (the search then stops at the
+        seeds and the operator falls back to Dijkstra).
         """
         graph = self.graph
         cache = self._ensure_cache()
         scores = np.full(self.dataset.n_items, -np.inf)
         seed_items = self._subgraph_seed_items(user, absorbing)
-        sub, operator = cache.bfs(user, seed_items, absorbing, self.subgraph_size)
-        if not np.isin(absorbing, sub.nodes).all():
+        index, operator = cache.bfs(user, seed_items, absorbing,
+                                    self.subgraph_size)
+        absorbing_local = index.locate(absorbing)
+        if (absorbing_local < 0).any():
             # The absorbing set must live inside the subgraph; for HT the
             # query user is adjacent to their items so this only triggers on
             # pathological inputs.
             return scores
-        absorbing_local = sub.to_local(absorbing)
         values = self._solve(operator, absorbing_local)
 
-        user_mask = sub.nodes < graph.n_users
-        item_node_positions = np.flatnonzero(~user_mask)
-        item_indices = sub.nodes[item_node_positions] - graph.n_users
+        item_node_positions = np.flatnonzero(index.nodes >= graph.n_users)
+        item_indices = index.nodes[item_node_positions] - graph.n_users
         item_values = values[item_node_positions]
         finite = np.isfinite(item_values)
         scores[item_indices[finite]] = -item_values[finite]

@@ -18,7 +18,7 @@ from repro.graph.random_walk import (
     stationary_distribution,
     transition_matrix,
 )
-from repro.graph.subgraph import LocalSubgraph, bfs_subgraph
+from repro.graph.subgraph import LocalSubgraph, NodeIndex, bfs_subgraph
 
 __all__ = [
     "exact_absorbing_values",
@@ -38,5 +38,6 @@ __all__ = [
     "stationary_distribution",
     "transition_matrix",
     "LocalSubgraph",
+    "NodeIndex",
     "bfs_subgraph",
 ]

@@ -19,10 +19,12 @@ reachability, and sweeps through preallocated chunked buffers.
   component labels, item index maps, the entropy slice and the prepared
   operator) for a component-group key, as used by the grouped multi-RHS
   batch path;
-* :meth:`bfs` — the µ-truncated BFS subgraph and its prepared operator for a
-  single query, keyed by (user, absorbing set, µ): the BFS expansion is
-  deterministic, so a repeated query skips the traversal, the sparse slice,
-  the normalization and the validation entirely;
+* :meth:`bfs` — the µ-truncated BFS subgraph's node index and its prepared
+  operator for a single query, keyed by (user, absorbing set, µ): the BFS
+  expansion is deterministic, so a repeated query skips the traversal, the
+  sparse slice, the normalization and the validation entirely. An entry
+  keeps only the node order, its sorted inverse and the operator — the
+  induced adjacency is dropped once the transition is built;
 * :attr:`node_entropy` — the full per-node entropy vector, computed once.
 
 Entries are kept in an LRU dict bounded by ``max_entries``; hit/miss
@@ -52,7 +54,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConfigError
 from repro.graph.bipartite import GraphUpdate, UserItemGraph
-from repro.graph.subgraph import LocalSubgraph, bfs_subgraph
+from repro.graph.subgraph import NodeIndex, bfs_subgraph
 from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize, safe_divide_rows
 from repro.utils.validation import check_positive_int
@@ -111,7 +113,10 @@ class TransitionCache:
     max_bfs_entries:
         Separate bound for per-query BFS entries. The two kinds live in
         separate LRUs so a churn of one-off truncated-BFS queries can never
-        evict the heavily shared group transition matrices.
+        evict the heavily shared group transition matrices. A BFS entry is
+        a ``(NodeIndex, WalkOperator)`` pair whose only sparse matrix is the
+        operator's transition (about 4.2 MiB at µ = 6000 on a ~15k-node
+        subgraph).
     """
 
     #: Key of the whole-graph pseudo-group used by global-graph scoring.
@@ -238,27 +243,38 @@ class TransitionCache:
     # -- per-query BFS subgraphs --------------------------------------------
 
     def bfs(self, user: int, seed_items: np.ndarray, absorbing: np.ndarray,
-            max_items: int) -> tuple[LocalSubgraph, WalkOperator]:
-        """Memoized µ-truncated BFS subgraph + prepared walk operator.
+            max_items: int) -> tuple[NodeIndex, WalkOperator]:
+        """Memoized µ-truncated BFS subgraph as ``(node index, operator)``.
 
         The key covers everything the expansion depends on — the seed items,
         the absorbing set and the µ budget — so a repeated request for the
         same user is answered without touching the adjacency (or
         re-validating the transition) at all.
+
+        An entry holds one sparse matrix, the operator's transition: the
+        induced adjacency is dropped once the transition exists, and the
+        parent → local map is the :class:`~repro.graph.subgraph.NodeIndex`'s
+        sorted arrays, not a per-node dict. When the BFS established that
+        the subgraph is one connected piece, the operator gets a single
+        component label, so reachability is a label lookup instead of a
+        reversed-edge Dijkstra per absorbing set; any other subgraph keeps
+        the label-less operator.
         """
         key = ("bfs", int(user), int(max_items),
                seed_items.tobytes(), absorbing.tobytes())
 
         def build():
             sub = bfs_subgraph(self.graph, seed_items, max_items)
-            transition = self._subgraph_transition(sub.adjacency, sub.nodes)
+            nodes = sub.nodes
             operator = WalkOperator(
-                transition,
-                user_mask=sub.nodes < self.graph.n_users,
-                node_entropy=self.node_entropy[sub.nodes],
+                self._subgraph_transition(sub.adjacency, nodes),
+                labels=(np.zeros(nodes.size, dtype=np.int8)
+                        if sub.connected else None),
+                user_mask=nodes < self.graph.n_users,
+                node_entropy=self.node_entropy[nodes],
                 substochastic=self.graph.substochastic,
             )
-            return (sub, operator)
+            return (sub.index, operator)
 
         return self._get(self._bfs, key, build, self.max_bfs_entries)
 
@@ -336,12 +352,12 @@ class TransitionCache:
             self._groups = groups
 
             bfs: OrderedDict[tuple, tuple] = OrderedDict()
-            for key, (sub, operator) in self._bfs.items():
+            for key, (index, operator) in self._bfs.items():
                 if user_shift or touched.intersection(
-                        int(c) for c in np.unique(old_labels[sub.nodes])):
+                        int(c) for c in np.unique(old_labels[index.nodes])):
                     counts["invalidated_bfs"] += 1
                     continue
-                bfs[key] = (sub, operator)
+                bfs[key] = (index, operator)
                 counts["retained_bfs"] += 1
             self._bfs = bfs
 

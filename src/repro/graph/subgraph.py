@@ -6,11 +6,17 @@ the query user's rated items ``S_q`` and stops expanding once the subgraph
 holds more than ``µ`` item nodes. The walk is then run on the induced
 subgraph only; items outside it are never recommended (conceptually at
 ``+inf`` time).
+
+The search runs level-synchronously: each step gathers the whole
+frontier's CSR neighbour lists at once, in frontier order, instead of
+popping one node per Python iteration. The graph is bipartite, so every
+level is all users or all items, and only item levels spend the budget.
+The node order is exactly that of the classical FIFO queue search, which
+the tests keep as the reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +26,62 @@ from repro.exceptions import GraphError
 from repro.graph.bipartite import UserItemGraph
 from repro.utils.validation import as_index_array, check_positive_int
 
-__all__ = ["LocalSubgraph", "bfs_subgraph"]
+__all__ = ["LocalSubgraph", "NodeIndex", "bfs_subgraph"]
+
+
+@dataclass(frozen=True)
+class NodeIndex:
+    """Parent-graph nodes in local order, with an array-backed inverse.
+
+    Attributes
+    ----------
+    nodes:
+        Parent-graph node indices in local order (``nodes[k]`` is the
+        parent node of local node ``k``).
+    sorted_nodes:
+        ``nodes`` sorted ascending: the search keys of the inverse map.
+    sorted_local:
+        Local index of each ``sorted_nodes`` entry.
+    """
+
+    nodes: np.ndarray
+    sorted_nodes: np.ndarray
+    sorted_local: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: np.ndarray) -> "NodeIndex":
+        nodes = np.asarray(nodes, dtype=np.int64)
+        order = np.argsort(nodes)
+        return cls(nodes=nodes, sorted_nodes=nodes[order],
+                   sorted_local=order.astype(np.int32))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nodes.size
+
+    def locate(self, parent_nodes) -> np.ndarray:
+        """Local index of each parent node, ``-1`` where it is absent."""
+        parent_nodes = np.atleast_1d(np.asarray(parent_nodes, dtype=np.int64))
+        keys = self.sorted_nodes
+        if keys.size == 0:
+            return np.full(parent_nodes.shape, -1, dtype=np.int64)
+        slots = np.minimum(np.searchsorted(keys, parent_nodes), keys.size - 1)
+        return np.where(keys[slots] == parent_nodes,
+                        self.sorted_local[slots], -1).astype(np.int64)
+
+    def to_local(self, parent_nodes) -> np.ndarray:
+        """Map parent node indices to local indices (GraphError if absent)."""
+        parent_nodes = np.atleast_1d(np.asarray(parent_nodes, dtype=np.int64))
+        local = self.locate(parent_nodes)
+        missing = np.flatnonzero(local < 0)
+        if missing.size:
+            raise GraphError(
+                f"node {int(parent_nodes[missing[0]])} is not in the subgraph"
+            )
+        return local
+
+    def contains(self, parent_node: int) -> bool:
+        return bool(self.locate(int(parent_node))[0] >= 0)
 
 
 @dataclass(frozen=True)
@@ -29,38 +90,60 @@ class LocalSubgraph:
 
     Attributes
     ----------
-    nodes:
-        Parent-graph node indices in subgraph order (``nodes[k]`` is the
-        parent node of local node ``k``).
+    index:
+        The :class:`NodeIndex` of the subgraph: its parent nodes in BFS
+        order and the sorted inverse that :meth:`to_local` searches.
     adjacency:
         Induced weighted adjacency over ``nodes``.
-    local_index:
-        Dict mapping parent node → local index.
     n_local_items:
         Number of item nodes included.
+    connected:
+        True when the search established that the subgraph is one
+        connected piece (some first-level user is adjacent to every
+        seed). False means *not established*, not *disconnected*.
     """
 
-    nodes: np.ndarray
+    index: NodeIndex
     adjacency: sp.csr_matrix
-    local_index: dict
     n_local_items: int
+    connected: bool
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.index.nodes
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.size
+        return self.index.n_nodes
 
     def to_local(self, parent_nodes) -> np.ndarray:
-        """Map parent node indices to local indices (KeyError if absent)."""
-        try:
-            return np.array(
-                [self.local_index[int(p)] for p in np.atleast_1d(parent_nodes)],
-                dtype=np.int64,
-            )
-        except KeyError as exc:
-            raise GraphError(f"node {exc.args[0]} is not in the subgraph") from None
+        """Map parent node indices to local indices (GraphError if absent)."""
+        return self.index.to_local(parent_nodes)
 
     def contains(self, parent_node: int) -> bool:
-        return int(parent_node) in self.local_index
+        return self.index.contains(parent_node)
+
+
+def _first_occurrences(values: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """``values`` without repeats, each kept at its first position.
+
+    ``stamp`` is a per-node scratch array holding a value no position
+    reaches; ``np.minimum.at`` leaves each node's first position in it, so
+    no sort is needed. Stamped nodes are not reset: the search marks every
+    one of them visited (or stops), so none is stamped twice.
+    """
+    positions = np.arange(values.size, dtype=stamp.dtype)
+    np.minimum.at(stamp, values, positions)
+    return values[stamp[values] == positions]
+
+
+def _neighbours(adjacency: sp.csr_matrix, frontier: np.ndarray) -> np.ndarray:
+    """The CSR neighbour lists of ``frontier``, concatenated in its order."""
+    starts = adjacency.indptr[frontier].astype(np.int64)
+    counts = adjacency.indptr[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    offsets = np.repeat(starts - (ends - counts), counts)
+    return adjacency.indices[offsets + np.arange(offsets.size)]
 
 
 def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
@@ -74,7 +157,15 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
     number"). Stopping mid-level makes µ a hard budget — exactly what gives
     the Absorbing Time/Cost methods their locality at scale (items far from
     :math:`S_q` never enter the candidate set). Seeds are always included,
-    even if ``len(seed_items) > max_items``.
+    even if there are more than ``max_items`` of them (the search then
+    stops at the seeds); a repeated seed counts once, at its first
+    position.
+
+    Each level is one vectorised step: gather the frontier's neighbour
+    lists in frontier order, drop visited nodes, keep each node's first
+    occurrence and, on an item level, cut at the remaining budget. The
+    result is the FIFO queue search's node order, element for element:
+    seeds first, then each level in discovery order.
 
     Parameters
     ----------
@@ -91,41 +182,44 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
         raise GraphError("seed_items is empty; cannot anchor the subgraph")
 
     adjacency = graph.adjacency
+    stamp = np.full(graph.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
+    seeds = _first_occurrences(graph.item_nodes(seed_items), stamp)
     visited = np.zeros(graph.n_nodes, dtype=bool)
-    order: list[int] = []
-    n_items_included = 0
+    visited[seeds] = True
+    levels = [seeds]
+    n_items = seeds.size
+    connected = seeds.size == 1
 
-    queue = deque()
-    for node in graph.item_nodes(seed_items):
-        node = int(node)
-        visited[node] = True
-        order.append(node)
-        queue.append(node)
-        n_items_included += 1
+    frontier = seeds if n_items <= max_items else seeds[:0]
+    items_level = False  # seeds are items, so the first level holds users
+    while frontier.size:
+        found = _neighbours(adjacency, frontier)
+        if len(levels) == 1 and not connected and found.size:
+            # Every later node hangs off a seed by its discovery edge, so
+            # a first-level user adjacent to every seed makes the whole
+            # subgraph one piece. Counting neighbour-list entries counts
+            # distinct seeds only when the CSR has no repeated entries.
+            connected = bool(adjacency.has_canonical_format
+                             and np.bincount(found).max() == seeds.size)
+        found = _first_occurrences(found[~visited[found]], stamp)
+        exhausted = False
+        if items_level:
+            remaining = max_items - n_items
+            if found.size > remaining:
+                found, exhausted = found[:remaining], True
+            n_items += found.size
+        visited[found] = True
+        levels.append(found.astype(np.int64, copy=False))
+        if exhausted:
+            break
+        frontier = found
+        items_level = not items_level
 
-    budget_exhausted = n_items_included > max_items
-    while queue and not budget_exhausted:
-        node = queue.popleft()
-        lo, hi = adjacency.indptr[node], adjacency.indptr[node + 1]
-        for neighbor in adjacency.indices[lo:hi]:
-            neighbor = int(neighbor)
-            if visited[neighbor]:
-                continue
-            if graph.is_item_node(neighbor):
-                if n_items_included >= max_items:
-                    budget_exhausted = True
-                    break
-                n_items_included += 1
-            visited[neighbor] = True
-            order.append(neighbor)
-            queue.append(neighbor)
-
-    nodes = np.array(order, dtype=np.int64)
-    local_index = {int(p): k for k, p in enumerate(nodes)}
+    nodes = np.concatenate(levels)
     induced = adjacency[nodes][:, nodes].tocsr()
     return LocalSubgraph(
-        nodes=nodes,
+        index=NodeIndex.of(nodes),
         adjacency=induced,
-        local_index=local_index,
-        n_local_items=n_items_included,
+        n_local_items=n_items,
+        connected=connected,
     )

@@ -1175,9 +1175,12 @@ class ShardRouter:
     with the row-cache ``_lock`` below all three; never acquire outward
     while an inner lock is held. ``_update_lock`` serialises update
     batches (and the process fleet's checkpoints). The per-shard lock
-    belongs to the backend: the process fleet's ``worker.lock`` orders
-    RPCs on one pipe, while in-process engines are thread-safe and need
-    none. ``_routing_lock`` guards the routing tables: readers take it
+    belongs to the backend and is held by :meth:`_call`: the process
+    fleet's ``worker.lock`` orders RPCs on one pipe, and the in-process
+    fleet's ``shard.lock`` keeps an update from landing on a
+    :class:`ServingEngine` while a reader is solving on it (an engine is
+    not safe against concurrent ``apply_updates``). ``_routing_lock``
+    guards the routing tables: readers take it
     to snapshot a consistent view, :meth:`_absorb_new_labels` takes it to
     grow them, and nothing slow (RPC, fsync, solve) ever runs under it.
     """
@@ -1946,7 +1949,10 @@ class ShardedEngine(ShardRouter):
     *original dataset's*; users and items registered later by updates are
     appended to the global space in shard order. External labels are the
     stable identity across the fleet. Rows are shared across repeated
-    serves; treat reports as read-only.
+    serves; treat reports as read-only. Every request to a shard engine
+    runs under that shard's lock (``shard.lock``), so an update never
+    lands on an engine while a reader is solving on it; different shards
+    still serve in parallel.
 
     Parameters
     ----------
@@ -1978,6 +1984,8 @@ class ShardedEngine(ShardRouter):
                     "expected ServingEngine"
                 )
         self.engines = engines
+        # Created before the router so lock instrumentation sees them.
+        self._shard_locks = [threading.Lock() for _ in engines]
         super().__init__(plan, [_hello(engine) for engine in engines],
                          result_cache_size)
 
@@ -2046,11 +2054,12 @@ class ShardedEngine(ShardRouter):
 
     def _call(self, shard: int, method: str, payload: dict):
         engine = self.engines[shard]
-        result = _worker_handle(engine, method, payload)
-        if method == "apply_updates":
-            dataset = engine.dataset
-            self._absorb_new_labels(shard, dataset.user_labels,
-                                    dataset.item_labels)
+        with self._shard_locks[shard]:
+            result = _worker_handle(engine, method, payload)
+            if method == "apply_updates":
+                dataset = engine.dataset
+                self._absorb_new_labels(shard, dataset.user_labels,
+                                        dataset.item_labels)
         return result
 
     def _shard_version(self, shard: int) -> int:

@@ -77,6 +77,26 @@ class TestLockOrder:
         assert [f.key for f in result.new] == [
             "lock-order:sub.py:Gadget.backwards:inner->outer"]
 
+    def test_element_of_a_lock_list_resolves_to_the_list_lock(
+            self, config, tmp_path):
+        # One lock per shard, held in a list: `with self._inner[i]:`
+        # acquires the lock the `_inner` attribute declares.
+        (tmp_path / "listed.py").write_text(
+            "import threading\n\n\n"
+            "class Widget:\n"
+            "    def __init__(self):\n"
+            "        self._outer = threading.Lock()\n"
+            "        self._inner = [threading.Lock() for _ in range(2)]\n\n"
+            "    def _take_outer(self):\n"
+            "        with self._outer:\n"
+            "            pass\n\n"
+            "    def backwards(self, shard):\n"
+            "        with self._inner[shard]:\n"
+            "            self._take_outer()\n")
+        result = run_lint([tmp_path], config=config, root=tmp_path)
+        assert [f.key for f in result.new] == [
+            "lock-order:listed.py:Widget.backwards:inner->outer"]
+
 
 class TestGuardedAttribute:
     def test_unlocked_write_flagged(self, config):

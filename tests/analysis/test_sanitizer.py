@@ -39,8 +39,8 @@ class TestDeliberateInversion:
         assert "lock-order violation" in report
         assert "acquiring 'worker.lock' while holding '_routing_lock'" \
             in report
-        assert "declared order: _update_lock < worker.lock < _routing_lock" \
-            in report
+        assert ("declared order: _update_lock < worker.lock < shard.lock "
+                "< _routing_lock") in report
         assert "'_routing_lock' acquired at:" in report
         assert "acquisition attempted at:" in report
         assert "test_sanitizer.py" in report  # real stack frames
@@ -157,6 +157,40 @@ class TestInstrument:
         with fleet._routing_lock:
             with pytest.raises(LockOrderViolation):
                 worker.lock.acquire()
+
+    def test_instrument_wraps_bare_locks_held_in_a_list(self):
+        """The in-process fleet keeps one bare lock per shard in a list;
+        each element is wrapped under the list attribute's declared name,
+        so the sanitizer checks ``shard.lock`` against the hierarchy."""
+        sanitizer = LockOrderSanitizer(load_config(REPO / "analysis.toml"))
+
+        class ShardRouter:
+            pass
+
+        class ShardedEngine(ShardRouter):
+            def __init__(self):
+                self._shard_locks = [threading.Lock(), threading.Lock()]
+                self._routing_lock = threading.Lock()
+                self._update_lock = threading.RLock()
+
+        fleet = ShardedEngine()
+        locks = fleet._shard_locks
+        instrument(fleet, sanitizer)
+        assert fleet._shard_locks is locks  # wrapped in place
+        assert all(isinstance(lock, SanitizedLock) for lock in locks)
+        assert [lock.name for lock in locks] == ["shard.lock"] * 2
+        proxies = list(locks)
+        instrument(fleet, sanitizer)
+        assert all(lock is proxy  # idempotent
+                   for lock, proxy in zip(fleet._shard_locks, proxies))
+
+        with fleet._update_lock:
+            with fleet._shard_locks[1]:
+                with fleet._routing_lock:
+                    pass
+        with fleet._routing_lock:
+            with pytest.raises(LockOrderViolation):
+                fleet._shard_locks[0].acquire()
 
     def test_instrument_is_idempotent(self):
         sanitizer = LockOrderSanitizer(AnalysisConfig())

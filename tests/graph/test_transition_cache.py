@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import AbsorbingTimeRecommender
 from repro.graph.bipartite import UserItemGraph
@@ -82,6 +83,31 @@ class TestBfsEntries:
         # A different µ is a different expansion → separate entry.
         cache.bfs(0, seeds, absorbing, 7)
         assert cache.misses == 2
+
+
+    def test_bfs_entry_holds_one_sparse_matrix_and_no_dict(self, graph,
+                                                           small_synth):
+        # The lean entry: the node order, its sorted inverse and the
+        # prepared operator. The induced adjacency is dropped once the
+        # transition is built, and parent -> local is array-backed.
+        cache = TransitionCache(graph)
+        seeds = small_synth.dataset.items_of_user(0)
+        absorbing = graph.item_nodes(seeds)
+        index, operator = cache.bfs(0, seeds, absorbing, 5)
+        operator.solve(index.to_local(absorbing), n_iterations=3)
+        (entry,) = cache._bfs.values()
+        assert entry[0] is index and entry[1] is operator and len(entry) == 2
+        assert all(isinstance(value, np.ndarray)
+                   for value in vars(index).values())
+        held = [*vars(index).values(), *vars(operator).values()]
+        sparse = [value for value in held if sp.issparse(value)]
+        assert len(sparse) == 1 and sparse[0] is operator.transition
+        # The operator's dicts are its bounded per-set memos, never a
+        # per-node map.
+        memos = {name for name, value in vars(operator).items()
+                 if isinstance(value, dict)}
+        assert memos == {"_plans", "_factors", "_reachable_memo"}
+        assert all(len(vars(operator)[name]) <= 1 for name in memos)
 
 
 class TestEviction:

@@ -196,3 +196,54 @@ class TestRowCacheUnderConcurrentUpdates:
         everyone = np.arange(n_users)
         assert fleet.serve_cohort(everyone, k=K).rows == \
             single.serve_cohort(everyone, k=K).rows
+
+    # Pauses a shard engine's recommender, which only the in-process
+    # fleet has in this process.
+    @pytest.mark.parametrize("pair", ["in-process"], indirect=True)
+    def test_update_waits_for_reader_mid_solve(self, pair, federated,
+                                               monkeypatch):
+        # Deterministic version of the in-process race: a reader paused
+        # inside the owning shard's solve must keep apply_updates off that
+        # shard until it finishes (ServingEngine.apply_updates is not safe
+        # against concurrent serving on the same engine).
+        fleet, single = pair
+        user = 0
+        recommender = fleet.engines[fleet.shard_of_user(user)].recommender
+        original = recommender._partition_cohort
+        entered, release = threading.Event(), threading.Event()
+
+        def paused(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(recommender, "_partition_cohort", paused)
+        events = [(str(federated.user_labels[user]),
+                   _top_item_label(single, user), 4.0)]
+        applied = threading.Event()
+
+        def update():
+            fleet.apply_updates(events)
+            applied.set()
+
+        reader = threading.Thread(target=fleet.serve_cohort,
+                                  args=(np.array([user]),), kwargs={"k": K})
+        writer = threading.Thread(target=update)
+        reader.start()
+        try:
+            assert entered.wait(timeout=30), "reader never reached the solve"
+            writer.start()
+            overlapped = applied.wait(timeout=0.5)
+        finally:
+            release.set()
+            reader.join(timeout=30)
+            if writer.ident is not None:  # started
+                writer.join(timeout=30)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert not overlapped, \
+            "apply_updates ran on the shard while a reader was mid-solve"
+        assert applied.is_set()
+        single.apply_updates(events)
+        assert fleet.serve_cohort(np.array([user]), k=K).rows == \
+            single.serve_cohort(np.array([user]), k=K).rows
