@@ -96,14 +96,12 @@ from repro.graph import TransitionCache, UserItemGraph
 from repro.solver import WalkOperator
 from repro.service import (
     BatchingServer,
-    BatchServingReport,
     HttpFrontend,
     ServerReport,
     ServingEngine,
     ShardedEngine,
     ShardPlan,
     TopKStore,
-    serve_user_cohort,
 )
 from repro.topics import LatentTopicModel, fit_lda, fit_lda_cvb0, fit_lda_gibbs
 
@@ -161,7 +159,6 @@ __all__ = [
     "TransitionCache",
     "WalkOperator",
     # serving & artifacts
-    "BatchServingReport",
     "BatchingServer",
     "HttpFrontend",
     "ServerReport",
@@ -169,7 +166,6 @@ __all__ = [
     "ShardPlan",
     "ShardedEngine",
     "TopKStore",
-    "serve_user_cohort",
     "save_artifact",
     "load_artifact",
     # evaluation

@@ -5,7 +5,6 @@ Usage (module form; also installed as the ``repro-experiments`` script)::
     python -m repro.cli list
     python -m repro.cli run fig5a [--scale 0.5] [--out results.csv]
     python -m repro.cli run table2 --scale 0.3
-    python -m repro.cli serve-batch --algorithm AT --n-users 64 --k 10
     python -m repro.cli fit --algorithm AT --out at-model.npz
     python -m repro.cli serve --artifact at-model.npz --n-users 64 --k 10
     python -m repro.cli update --artifact at-model.npz --events events.log \
@@ -16,14 +15,12 @@ Usage (module form; also installed as the ``repro-experiments`` script)::
     python -m repro.cli update --shards fleet/ --events events.log --out fleet/
 
 ``run`` maps each experiment name to its driver in :mod:`repro.experiments`
-and prints the paper-shaped text table (optionally a CSV). ``serve-batch``
-exercises the batch serving layer end-to-end: fit one algorithm, score a
-cohort of users through the vectorised batch path, and report the ranked
-lists plus the achieved throughput. ``fit`` and ``serve`` are the
-offline/online split: ``fit`` trains once and saves a versioned model
-artifact (optionally plus a precomputed top-K store); ``serve`` boots a
-:class:`~repro.service.ServingEngine` from the artifact — no refitting —
-and answers a cohort with warm-cache statistics in the report. ``update``
+and prints the paper-shaped text table (optionally a CSV). ``fit`` and
+``serve`` are the offline/online split: ``fit`` trains once and saves a
+versioned model artifact (optionally plus a precomputed top-K store);
+``serve`` boots a :class:`~repro.service.ServingEngine` from the artifact —
+no refitting — and answers a cohort (the first ``--n-users`` users, or a
+``--users-file``) with warm-cache statistics in the report. ``update``
 is the incremental half: it replays a rating-event log (new users, new
 items, re-rates) against a saved artifact through
 :meth:`~repro.service.ServingEngine.apply_updates` — no refit, targeted
@@ -66,7 +63,7 @@ from repro.experiments import (
 from repro.data.synthetic import federated_dataset, giant_component
 from repro.experiments.suite import PAPER_ORDER, make_algorithms, make_data
 from repro.core.artifacts import peek_artifact
-from repro.exceptions import ConfigError, ReproError
+from repro.exceptions import ConfigError, DataFormatError, ReproError
 from repro.service import (
     PARTITIONERS,
     BatchingServer,
@@ -76,11 +73,9 @@ from repro.service import (
     ShardedEngine,
     ShardPlan,
     TopKStore,
-    load_event_file,
-    load_user_file,
-    serve_user_cohort,
 )
 from repro.utils.timer import Timer
+from repro.utils.validation import as_index_array
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -154,29 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dataset scale multiplier (default 1.0)")
     run.add_argument("--seed", type=int, default=7, help="data seed")
     run.add_argument("--out", default=None, help="optional CSV output path")
-
-    serve = sub.add_parser(
-        "serve-batch",
-        help="score a user cohort end-to-end through the batch serving layer",
-    )
-    serve.add_argument("--algorithm", default="AT", choices=sorted(PAPER_ORDER),
-                       help="recommender to serve (default AT)")
-    serve.add_argument("--dataset", default="movielens",
-                       choices=("movielens", "douban"),
-                       help="synthetic dataset family (default movielens)")
-    serve.add_argument("--scale", type=float, default=0.5,
-                       help="dataset scale multiplier (default 0.5)")
-    serve.add_argument("--seed", type=int, default=7, help="data seed")
-    serve.add_argument("--users-file", default=None,
-                       help="file with one user index per line "
-                            "(default: the first --n-users users)")
-    serve.add_argument("--n-users", type=int, default=64,
-                       help="cohort size when --users-file is absent (default 64)")
-    serve.add_argument("--k", type=int, default=10, help="list length (default 10)")
-    serve.add_argument("--batch-size", type=int, default=256,
-                       help="users scored per batch (default 256)")
-    serve.add_argument("--out", default=None,
-                       help="optional CSV path for the full (user, rank, item) rows")
 
     fit = sub.add_parser(
         "fit",
@@ -268,13 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "warm-cache speedup; default 1)")
     online.add_argument("--dtype", default=None, choices=("float32", "float64"),
                         help="override the artifact's serving precision policy")
-    online.add_argument("--workers", type=int, default=1,
-                        help="worker-pool size for dispatching independent "
-                             "component-groups of a cohort (default 1)")
-    online.add_argument("--worker-mode", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool flavour for --workers > 1 "
-                             "(default thread)")
     online.add_argument("--mmap", action="store_true",
                         help="memory-map the artifact arrays (v3 artifacts) "
                              "instead of materialising them: O(open) boot, "
@@ -319,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     http.add_argument("--timeout-ms", type=float, default=None,
                       help="default per-request deadline; a miss answers "
                            "HTTP 504 (default: none)")
-    http.add_argument("--workers", type=int, default=1,
-                      help="engine worker-pool size per cohort solve "
-                           "(default 1)")
     http.add_argument("--mmap", action="store_true",
                       help="memory-map the artifact arrays (v3 artifacts) "
                            "instead of materialising them")
@@ -370,39 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--out", default=None,
                         help="save the updated model artifact here")
     return parser
-
-
-def _serve_batch(args) -> int:
-    config = ExperimentConfig(scale=args.scale, data_seed=args.seed)
-    print(f"Generating {args.dataset} data (scale {args.scale}) ...", flush=True)
-    train = make_data(args.dataset, config).dataset
-    print(f"   {train}")
-
-    print(f"Fitting {args.algorithm} ...", flush=True)
-    recommender = make_algorithms(config, train=train,
-                                  include=(args.algorithm,))[0]
-    with Timer() as fit_timer:
-        recommender.fit(train)
-    print(f"   fitted in {fit_timer.elapsed:.2f}s")
-
-    if args.users_file is not None:
-        users = load_user_file(args.users_file, train.n_users)
-    else:
-        users = np.arange(min(args.n_users, train.n_users))
-    print(f"Serving {users.size} users (k={args.k}, "
-          f"batch size {args.batch_size}) ...", flush=True)
-    report = serve_user_cohort(recommender, users, k=args.k,
-                               batch_size=args.batch_size)
-
-    print(format_table([report.summary()],
-                       title=f"serve-batch: {args.algorithm} throughput"))
-    preview = report.rows[:3 * args.k]
-    if preview:
-        print(format_table(preview, title="first rows (full output via --out)"))
-    if args.out:
-        write_csv(report.rows, args.out)
-        print(f"[saved] {args.out}")
-    return 0
 
 
 def _fit(args) -> int:
@@ -481,6 +410,66 @@ def _shard_fit(args) -> int:
     return 0
 
 
+def load_user_file(path: str, n_users: int) -> np.ndarray:
+    """Parse a cohort file (``serve --users-file``): one user index per line.
+
+    Blank lines and ``#`` comments are ignored; indices must be integers in
+    ``[0, n_users)``. Duplicates are kept (a cohort may legitimately repeat a
+    user).
+    """
+    indices: list[int] = []
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                indices.append(int(line))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected a user index, got {line!r}"
+                ) from None
+    if not indices:
+        raise DataFormatError(f"{path}: no user indices found")
+    try:
+        return as_index_array(np.array(indices), n_users, "users")
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def load_event_file(path: str) -> list[tuple[str, str, float]]:
+    """Parse an ``update --events`` log: ``user_label item_label rating``.
+
+    Tokens are whitespace-separated (labels therefore cannot contain
+    whitespace); blank lines and ``#`` comments are ignored. Labels are kept
+    as strings — matching how the CLI-fitted synthetic datasets (and any
+    CSV-loaded data) label users/items; datasets with non-string labels are
+    updated through the Python API instead. Unknown labels are *not* an
+    error: they register new users/items when the events are applied.
+    """
+    events: list[tuple[str, str, float]] = []
+    with open(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected 'user item rating', got {line!r}"
+                )
+            try:
+                rating = float(parts[2])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected a numeric rating, got {parts[2]!r}"
+                ) from None
+            events.append((parts[0], parts[1], rating))
+    if not events:
+        raise DataFormatError(f"{path}: no rating events found")
+    return events
+
+
 def _require_one_source(args, parser_hint: str) -> bool:
     """True when exactly one of --artifact / --shards was given."""
     if (args.artifact is None) == (args.shards is None):
@@ -509,14 +498,8 @@ def _boot_fleet(args) -> ProcessShardFleet:
             "process per shard (use --fleet-procs "
             f"{plan.n_shards}, or 0 for in-process serving)"
         )
-    engine_kwargs = {}
-    workers = getattr(args, "workers", 1)
-    if workers and workers > 1:
-        engine_kwargs["n_workers"] = workers
-    if getattr(args, "mmap", False):
-        engine_kwargs["mmap"] = True
-    kwargs = {"engine_kwargs": engine_kwargs} if engine_kwargs else {}
-    return ProcessShardFleet.from_directory(args.shards, **kwargs)
+    return ProcessShardFleet.from_directory(
+        args.shards, engine_kwargs={"mmap": args.mmap})
 
 
 def _fleet_name(args) -> str:
@@ -545,10 +528,8 @@ def _serve(args) -> int:
     elif args.shards is not None:
         print(f"Loading sharded artifacts {args.shards} ...", flush=True)
         with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(
-                args.shards, n_workers=args.workers,
-                worker_mode=args.worker_mode, mmap=args.mmap,
-            )
+            engine = ShardedEngine.from_directory(args.shards,
+                                                  mmap=args.mmap)
         if args.store:
             print("   note: --store is ignored for sharded serving")
         if args.dtype is not None:
@@ -563,9 +544,7 @@ def _serve(args) -> int:
         print(f"Loading artifact {args.artifact} ...", flush=True)
         with Timer() as load_timer:
             engine = ServingEngine.from_artifact(
-                args.artifact, store_path=args.store,
-                n_workers=args.workers, worker_mode=args.worker_mode,
-                mmap=args.mmap,
+                args.artifact, store_path=args.store, mmap=args.mmap,
             )
         if args.dtype is not None:
             engine.recommender.set_serving_dtype(args.dtype)
@@ -573,8 +552,7 @@ def _serve(args) -> int:
         n_users_total = engine.dataset.n_users
         print(f"   {name} over {engine.dataset} "
               f"(loaded in {load_timer.elapsed:.2f}s, no refit, "
-              f"dtype {engine.recommender.serving_dtype}, "
-              f"workers {engine.n_workers})")
+              f"dtype {engine.recommender.serving_dtype})")
 
     if args.users_file is not None:
         users = load_user_file(args.users_file, n_users_total)
@@ -666,7 +644,6 @@ def _serve_http(args) -> int:
         print(f"Loading sharded artifacts {args.shards} ...", flush=True)
         with Timer() as load_timer:
             engine = ShardedEngine.from_directory(args.shards,
-                                                  n_workers=args.workers,
                                                   mmap=args.mmap)
         if args.store:
             print("   note: --store is ignored for sharded serving")
@@ -679,8 +656,7 @@ def _serve_http(args) -> int:
         print(f"Loading artifact {args.artifact} ...", flush=True)
         with Timer() as load_timer:
             engine = ServingEngine.from_artifact(
-                args.artifact, store_path=args.store, n_workers=args.workers,
-                mmap=args.mmap,
+                args.artifact, store_path=args.store, mmap=args.mmap,
             )
         name = engine.recommender.name
         n_users_total = engine.dataset.n_users
@@ -844,8 +820,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "serve-batch":
-        return _serve_batch(args)
     if args.command == "fit":
         return _fit(args)
     if args.command == "shard-fit":

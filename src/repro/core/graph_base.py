@@ -201,19 +201,6 @@ class RandomWalkRecommender(Recommender):
         self._transition_cache = None
         self._group_keys = {}
 
-    def __getstate__(self) -> dict:
-        # The transition cache holds prepared operators whose splu factors
-        # are not picklable (nor is its build lock); both are pure memo
-        # machinery, so process-pool workers simply rebuild on first use.
-        state = dict(self.__dict__)
-        state["_transition_cache"] = None
-        state["_cache_build_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._cache_build_lock = threading.Lock()
-
     # -- warm cache ----------------------------------------------------------
 
     @property
@@ -224,9 +211,10 @@ class RandomWalkRecommender(Recommender):
     def _ensure_cache(self) -> TransitionCache:
         # Built lazily so fit()/load_state_dict() stay cheap; the entropy
         # vector is frozen into the cache, matching the fit-once contract.
-        # Double-checked under a lock: engine worker threads hit this
-        # concurrently on a cold model, and every thread must share the one
-        # cache (and its operator/validation counters).
+        # Double-checked under a lock: a BatchingServer's executor thread
+        # and direct callers (recommend, serve_cohort) can race here on a
+        # cold model, and every thread must share the one cache (and its
+        # operator/validation counters).
         if self._transition_cache is None:
             with self._cache_build_lock:
                 if self._transition_cache is None:
@@ -384,32 +372,6 @@ class RandomWalkRecommender(Recommender):
                 or not np.all(np.isin(labels[absorbing], components))):
             return "solo"
         return tuple(int(c) for c in components)
-
-    def cohort_partitions(self, users: np.ndarray) -> list[np.ndarray]:
-        """Independent slices of a cohort, for parallel group dispatch.
-
-        Each returned array holds cohort *positions* whose solves share no
-        walk structure with the other partitions: one partition per shared
-        component-group, plus one for the per-user BFS / cold-start
-        remainder. The serving engine fans these out across its worker
-        pool; scoring partitions separately is score-identical to one batch
-        call because group solves are independent multi-RHS systems.
-        """
-        self._require_fitted()
-        users = np.asarray(users, dtype=np.int64)
-        absorbing_sets = [self._absorbing_nodes(int(u)) for u in users]
-        groups, solo = self._partition_cohort(users, absorbing_sets)
-        grouped = set()
-        partitions = []
-        for members in groups.values():
-            partitions.append(np.asarray(members, dtype=np.int64))
-            grouped.update(members)
-        grouped.update(solo)
-        remainder = [i for i in range(users.size) if i not in grouped]
-        leftover = sorted(solo + remainder)
-        if leftover or not partitions:
-            partitions.append(np.asarray(leftover, dtype=np.int64))
-        return partitions
 
     def _score_users_batch(self, users: np.ndarray) -> np.ndarray:
         dataset = self.dataset

@@ -1,13 +1,11 @@
 """Graph substrate: the bipartite user-item graph, random-walk primitives,
-absorbing-chain solvers, BFS subgraph extraction, and related-work proximity
-measures."""
+the transition cache of prepared walk operators, BFS subgraph extraction,
+and related-work proximity measures.
 
-from repro.graph.absorbing import (
-    exact_absorbing_values,
-    iteration_history,
-    reachability_mask,
-    truncated_absorbing_values,
-)
+The absorbing-chain solves themselves (exact, τ-truncated, multi-RHS) are
+methods of :class:`repro.solver.WalkOperator`.
+"""
+
 from repro.graph.bipartite import GraphUpdate, UserItemGraph
 from repro.graph.cache import TransitionCache, TransitionGroup
 from repro.graph.proximity import commute_times, katz_index, personalized_pagerank
@@ -21,10 +19,6 @@ from repro.graph.random_walk import (
 from repro.graph.subgraph import LocalSubgraph, NodeIndex, bfs_subgraph
 
 __all__ = [
-    "exact_absorbing_values",
-    "iteration_history",
-    "reachability_mask",
-    "truncated_absorbing_values",
     "UserItemGraph",
     "GraphUpdate",
     "TransitionCache",

@@ -14,17 +14,15 @@ keeps alive between requests. It owns:
   int64 arrays without touching the model at all — duplicates inside one
   cohort are deduplicated before solving and fanned back out;
 * optionally an attached :class:`~repro.service.store.TopKStore` for
-  microsecond single-user lookups with exclusion re-filtering;
-* a worker pool (``n_workers``; threads by default, processes as a
-  fallback) across which the *independent component-groups* of a cohort
-  are dispatched — group solves share no walk structure, so scoring them
-  concurrently is score-identical to one batch call.
+  microsecond single-user lookups with exclusion re-filtering.
 
 Every cohort run returns an :class:`EngineReport` whose summary carries the
 cache-hit statistics of both layers (entry counts included) plus per-stage
 wall-clock timings (lookup / solve / assemble) — the observability needed
-to size caches and worker pools and verify the fit-once/serve-many split
-actually pays.
+to size caches and verify the fit-once/serve-many split actually pays.
+:meth:`ServingEngine.serve_cohort` is the one cohort serving path: it
+streams the cohort through the model's batch path in bounded chunks and
+bulk-builds the ``(user, rank, item, label, score)`` rows.
 
 The engine is also the front of the **incremental update pipeline**:
 :meth:`ServingEngine.apply_updates` absorbs a batch of
@@ -44,7 +42,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -53,7 +50,6 @@ import numpy as np
 from repro.core.artifacts import load_artifact
 from repro.core.base import Recommendation, Recommender
 from repro.exceptions import ConfigError, NotFittedError
-from repro.service.serving import _label_array, rows_from_ranked_arrays
 from repro.service.store import TopKStore
 from repro.utils.timer import Timer, per_second
 from repro.utils.validation import (
@@ -64,18 +60,50 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-__all__ = ["EngineReport", "UpdateReport", "ServingEngine"]
+__all__ = ["EngineReport", "UpdateReport", "ServingEngine",
+           "rows_from_ranked_arrays"]
 
 
-def _score_partition(recommender: Recommender, users: np.ndarray, k: int,
-                     exclude_rated: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: ranked arrays for one cohort partition.
+def rows_from_ranked_arrays(users: np.ndarray, items: np.ndarray,
+                            scores: np.ndarray,
+                            item_labels: np.ndarray) -> list[dict]:
+    """Bulk-build (user, rank, item, label, score) row dicts.
 
-    Module-level so the process fallback can pickle it; walk recommenders
-    drop their (unpicklable, rebuildable) transition cache on pickling.
+    ``items``/``scores`` are the padded ``(len(users), k)`` matrices of
+    :meth:`~repro.core.base.Recommender.recommend_batch_arrays`;
+    ``item_labels`` is an object array over the catalogue. The flattening,
+    padding filter and label gather are all vectorised — only the final dict
+    materialisation touches Python objects, once per emitted row.
     """
-    return recommender.recommend_batch_arrays(users, k=k,
-                                              exclude_rated=exclude_rated)
+    n, k = items.shape
+    keep = (items >= 0).ravel()
+    user_column = np.repeat(np.asarray(users, dtype=np.int64), k)[keep]
+    rank_column = np.tile(np.arange(1, k + 1, dtype=np.int64), n)[keep]
+    item_column = items.ravel()[keep]
+    score_column = scores.ravel()[keep]
+    label_column = item_labels[item_column]
+    return [
+        {"user": int(u), "rank": int(r), "item": int(i), "label": l,
+         "score": float(s)}
+        for u, r, i, l, s in zip(user_column, rank_column, item_column,
+                                 label_column, score_column)
+    ]
+
+
+def _label_array(item_labels) -> np.ndarray:
+    arr = np.empty(len(item_labels), dtype=object)
+    arr[:] = list(item_labels)
+    return arr
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the block's wall-clock seconds to ``timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 @dataclass
@@ -92,8 +120,6 @@ class EngineReport:
     n_solves:
         Users actually scored by the model this run (cohort size minus
         result-cache hits and in-cohort duplicates).
-    n_workers:
-        Size of the worker pool the solve stage ran on (1 = inline).
     result_cache_hits / result_cache_misses:
         Users answered from / inserted into the engine's result cache during
         this run (duplicates within a cohort count as hits).
@@ -109,9 +135,9 @@ class EngineReport:
         Hit/miss and operator counters of the recommender's scoring-layer
         cache at the end of the run (``{}`` when the algorithm has none).
     timings:
-        Per-stage wall-clock seconds: ``lookup`` (result-cache resolution),
-        ``solve`` (model scoring, across all workers), ``assemble`` (row
-        materialisation).
+        Per-stage wall-clock seconds of this run alone: ``lookup``
+        (result-cache resolution), ``solve`` (model scoring), ``assemble``
+        (row materialisation).
     """
 
     rows: list = field(default_factory=list)
@@ -119,7 +145,6 @@ class EngineReport:
     k: int = 10
     seconds: float = 0.0
     n_solves: int = 0
-    n_workers: int = 1
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     result_cache_entries: int = 0
@@ -154,7 +179,6 @@ class EngineReport:
             "seconds": round(self.seconds, 4),
             "users_per_sec": round(self.users_per_second, 1),
             "solves": self.n_solves,
-            "workers": self.n_workers,
             "solve_s": round(self.timings.get("solve", 0.0), 4),
             "result_hits": self.result_cache_hits,
             "result_misses": self.result_cache_misses,
@@ -258,17 +282,6 @@ class ServingEngine:
         Bound on cached ranked lists (LRU-evicted beyond it); ``0`` disables
         the result cache entirely (every request recomputes — useful for
         benchmarking the scoring layer in isolation).
-    n_workers:
-        Worker-pool size for the solve stage. With more than one worker, a
-        cohort's uncached users are partitioned into independent
-        component-groups (via the recommender's ``cohort_partitions`` hook
-        when it has one, contiguous chunks otherwise) and scored
-        concurrently. ``1`` (default) solves inline.
-    worker_mode:
-        ``"thread"`` (default — shares the warm caches, no serialization) or
-        ``"process"`` (sidesteps the GIL for pure-python scoring at the cost
-        of pickling the model per task; scoring caches are rebuilt per
-        worker).
     max_pending_events:
         Staleness policy for the incremental update pipeline: once the
         events absorbed since the last full (re)fit reach this bound,
@@ -285,7 +298,6 @@ class ServingEngine:
     def __init__(self, recommender: Recommender, store: TopKStore | None = None,
                  store_exclude_rated: bool = True,
                  result_cache_size: int = 65536,
-                 n_workers: int = 1, worker_mode: str = "thread",
                  max_pending_events: int | None = None,
                  update_duplicates: str = "last"):
         if not isinstance(recommender, Recommender):
@@ -308,10 +320,6 @@ class ServingEngine:
         self.result_cache_size = check_non_negative_int(
             result_cache_size, "result_cache_size"
         )
-        self.n_workers = check_positive_int(n_workers, "n_workers")
-        self.worker_mode = check_in_options(
-            worker_mode, "worker_mode", ("thread", "process")
-        )
         if max_pending_events is not None:
             max_pending_events = check_positive_int(
                 max_pending_events, "max_pending_events"
@@ -327,9 +335,7 @@ class ServingEngine:
         self._labels = _label_array(recommender.dataset.item_labels)
         self.result_cache_hits = 0  # guarded-by: engine._lock
         self.result_cache_misses = 0  # guarded-by: engine._lock
-        self._stage_seconds: dict[str, float] = {}
         self._solves = 0  # guarded-by: engine._lock
-        self._pool = None  # lazy persistent worker pool (see close())
         # Guards the result cache and its counters so concurrent recommend /
         # invalidate_user callers never corrupt the OrderedDict or lose
         # hit/miss increments; solves run outside the lock.
@@ -360,92 +366,26 @@ class ServingEngine:
     def dataset(self):
         return self.recommender.dataset
 
-    # -- stage timing --------------------------------------------------------
-
-    @contextmanager
-    def _stage(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._stage_seconds[name] = (
-                self._stage_seconds.get(name, 0.0)
-                + time.perf_counter() - start
-            )
-
-    # -- parallel solve ------------------------------------------------------
-
-    def _partitions(self, users: np.ndarray) -> list[np.ndarray]:
-        """Position arrays of independently solvable cohort slices."""
-        partitions_hook = getattr(self.recommender, "cohort_partitions", None)
-        if partitions_hook is not None:
-            return [p for p in partitions_hook(users) if p.size]
-        bounds = np.linspace(0, users.size, self.n_workers + 1, dtype=np.int64)
-        return [np.arange(lo, hi, dtype=np.int64)
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def _ensure_pool(self):
-        """The engine-lifetime worker pool, created on first parallel solve."""
-        if self._pool is None:
-            pool_cls = (ThreadPoolExecutor if self.worker_mode == "thread"
-                        else ProcessPoolExecutor)
-            self._pool = pool_cls(max_workers=self.n_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when none was ever started)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
     def _score_users(self, users: np.ndarray, k: int, exclude_rated: bool,
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Ranked arrays for uncached users, fanned across the worker pool.
-
-        Workers receive user slices, not precomputed walk structure, so a
-        parallel request re-derives each user's absorbing set inside its
-        worker — an accepted duplication: the group-key memo makes the
-        second grouping a dict lookup, and keeping the task payload to bare
-        indices is what lets the process fallback ship partitions cheaply.
-        """
+        """Ranked arrays for uncached users: one batch call on the model."""
         with self._lock:
             self._solves += int(users.size)
-        if self.n_workers == 1 or users.size <= 1:
-            return _score_partition(self.recommender, users, k, exclude_rated)
-        partitions = self._partitions(users)
-        if self.worker_mode == "process" and len(partitions) > self.n_workers:
-            # Each process task pickles the whole model; cap the pickle count
-            # at the pool size by folding partitions into n_workers buckets.
-            buckets = [[] for _ in range(self.n_workers)]
-            for index, positions in enumerate(
-                    sorted(partitions, key=len, reverse=True)):
-                buckets[index % self.n_workers].append(positions)
-            partitions = [np.concatenate(bucket) for bucket in buckets if bucket]
-        if len(partitions) <= 1:
-            return _score_partition(self.recommender, users, k, exclude_rated)
-        items = np.full((users.size, k), -1, dtype=np.int64)
-        scores = np.full((users.size, k), -np.inf)
-        pool = self._ensure_pool()
-        futures = [
-            (positions, pool.submit(_score_partition, self.recommender,
-                                    users[positions], k, exclude_rated))
-            for positions in partitions
-        ]
-        for positions, future in futures:
-            part_items, part_scores = future.result()
-            items[positions] = part_items
-            scores[positions] = part_scores
-        return items, scores
+        return self.recommender.recommend_batch_arrays(
+            users, k=k, exclude_rated=exclude_rated
+        )
 
     # -- result cache --------------------------------------------------------
 
     def _cached_arrays(self, users: np.ndarray, k: int, exclude_rated: bool,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                       timings: dict) -> tuple[np.ndarray, np.ndarray]:
         """Ranked ``(items, scores)`` for ``users``, through the result cache.
 
         Uncached users are deduplicated and answered in one
         :meth:`_score_users` call; rows are then assembled in cohort order
-        (duplicates fanned back out) from the cache.
+        (duplicates fanned back out) from the cache. Stage seconds are
+        added to the caller's ``timings``, never to engine state, so
+        concurrent callers cannot leak time into each other's reports.
         """
         if self.result_cache_size == 0:
             # No cache, but in-cohort duplicates are still solved once.
@@ -453,10 +393,10 @@ class ServingEngine:
             with self._lock:
                 self.result_cache_misses += int(unique.size)
                 self.result_cache_hits += int(users.size - unique.size)
-            with self._stage("solve"):
+            with _stage(timings, "solve"):
                 items, scores = self._score_users(unique, k, exclude_rated)
             return items[inverse], scores[inverse]
-        with self._stage("lookup"), self._lock:
+        with _stage(timings, "lookup"), self._lock:
             keys = [(int(u), k, exclude_rated) for u in users]
             missing: list[int] = []
             seen: set[tuple] = set()
@@ -473,7 +413,7 @@ class ServingEngine:
         if missing:
             version = self.model_version
             cohort = np.asarray(missing, dtype=np.int64)
-            with self._stage("solve"):
+            with _stage(timings, "solve"):
                 new_items, new_scores = self._score_users(cohort, k, exclude_rated)
             for row, user in enumerate(missing):
                 fresh[(user, k, exclude_rated)] = (new_items[row], new_scores[row])
@@ -486,7 +426,7 @@ class ServingEngine:
                     self._results.update(fresh)
                     while len(self._results) > self.result_cache_size:
                         self._results.popitem(last=False)
-        with self._stage("lookup"), self._lock:
+        with _stage(timings, "lookup"), self._lock:
             items = np.full((users.size, k), -1, dtype=np.int64)
             scores = np.full((users.size, k), -np.inf)
             fallback: list[int] = []
@@ -502,7 +442,7 @@ class ServingEngine:
                 items[row], scores[row] = entry
         if fallback:
             rows = np.asarray(fallback, dtype=np.int64)
-            with self._stage("solve"):
+            with _stage(timings, "solve"):
                 fb_items, fb_scores = self._score_users(
                     users[rows], k, exclude_rated
                 )
@@ -532,7 +472,8 @@ class ServingEngine:
                 and self.store.depth >= k + banned.size):
             return self.store.recommend(user, k, exclude=banned)
         items, scores = self._cached_arrays(
-            np.array([user], dtype=np.int64), k + banned.size, exclude_rated
+            np.array([user], dtype=np.int64), k + banned.size, exclude_rated,
+            timings={},
         )
         row_items, row_scores = items[0], scores[0]
         keep = row_items >= 0
@@ -591,7 +532,8 @@ class ServingEngine:
         for depth, positions in by_depth.items():
             cohort = np.asarray([int(users[p]) for p in positions],
                                 dtype=np.int64)
-            items, scores = self._cached_arrays(cohort, depth, exclude_rated)
+            items, scores = self._cached_arrays(cohort, depth, exclude_rated,
+                                                timings={})
             for row, position in enumerate(positions):
                 row_items, row_scores = items[row], scores[row]
                 keep = row_items >= 0
@@ -623,22 +565,21 @@ class ServingEngine:
         k = check_positive_int(k, "k")
         batch_size = check_positive_int(batch_size, "batch_size")
         users = as_index_array(users, dataset.n_users, "users")
-        report = EngineReport(n_users=int(users.size), k=k,
-                              n_workers=self.n_workers)
+        report = EngineReport(n_users=int(users.size), k=k)
         with self._lock:
             # One consistent snapshot: a concurrent cohort bumping the
             # counters mid-read must not skew this report's deltas.
             hits_before = self.result_cache_hits
             misses_before = self.result_cache_misses
             solves_before = self._solves
-        self._stage_seconds = {}
         items = np.full((users.size, k), -1, dtype=np.int64)
         scores = np.full((users.size, k), -np.inf)
         with Timer() as timer:
             for start in range(0, users.size, batch_size):
                 chunk = users[start:start + batch_size]
                 items[start:start + batch_size], scores[start:start + batch_size] = (
-                    self._cached_arrays(chunk, k, exclude_rated)
+                    self._cached_arrays(chunk, k, exclude_rated,
+                                        timings=report.timings)
                 )
         report.seconds = timer.elapsed
         with self._lock:
@@ -650,7 +591,6 @@ class ServingEngine:
         report.scoring_cache = self.recommender.scoring_cache_stats() or {}
         report.scoring_cache_entries = report.scoring_cache.get("entries", 0)
         report.model_version = self.model_version
-        report.timings = dict(self._stage_seconds)
         return report, users, items, scores
 
     def serve_cohort(self, users, k: int = 10, batch_size: int = 256,
@@ -667,9 +607,7 @@ class ServingEngine:
             report.rows = rows_from_ranked_arrays(
                 users, items, scores, self._labels
             )
-        report.timings["assemble"] = (
-            report.timings.get("assemble", 0.0) + assemble_timer.elapsed
-        )
+        report.timings["assemble"] = assemble_timer.elapsed
         report.seconds += assemble_timer.elapsed
         return report
 
@@ -842,8 +780,6 @@ class ServingEngine:
                 "result_hits": self.result_cache_hits,
                 "result_misses": self.result_cache_misses,
                 "solves": self._solves,
-                "workers": self.n_workers,
-                "worker_mode": self.worker_mode,
                 "scoring_cache": self.recommender.scoring_cache_stats() or {},
                 "store_attached": self.store is not None,
                 "model_version": self.model_version,
@@ -856,6 +792,5 @@ class ServingEngine:
         return (
             f"ServingEngine(algorithm={self.recommender.name!r}, "
             f"cached_results={cached}, "
-            f"workers={self.n_workers}, "
             f"store={'yes' if self.store is not None else 'no'})"
         )

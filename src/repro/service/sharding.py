@@ -92,8 +92,13 @@ from repro.exceptions import (
     UnknownUserError,
 )
 from repro.graph.bipartite import UserItemGraph
-from repro.service.engine import EngineReport, ServingEngine, UpdateReport
-from repro.service.serving import _label_array, rows_from_ranked_arrays
+from repro.service.engine import (
+    EngineReport,
+    ServingEngine,
+    UpdateReport,
+    _label_array,
+    rows_from_ranked_arrays,
+)
 from repro.utils.atomic import atomic_savez
 from repro.utils.timer import Timer, per_second
 from repro.utils.validation import (
@@ -2000,8 +2005,7 @@ class ShardedEngine(ShardRouter):
         ``recommender_factory`` is a zero-argument callable returning a
         fresh unfitted :class:`~repro.core.base.Recommender` (each shard
         gets its own instance); ``engine_kwargs`` are forwarded to every
-        per-shard :class:`ServingEngine` (cache sizes, worker pools, update
-        policy).
+        per-shard :class:`ServingEngine` (cache sizes, update policy).
         """
         if plan is None:
             if n_shards is None:
@@ -2069,11 +2073,6 @@ class ShardedEngine(ShardRouter):
         return self.engines[shard].dataset.n_ratings
 
     # -- lifecycle / introspection -------------------------------------------
-
-    def close(self) -> None:
-        """Shut down every shard engine's worker pool."""
-        for engine in self.engines:
-            engine.close()
 
     def health(self) -> dict:
         """Per-shard health, in the shape the HTTP ``/health`` probe serves.

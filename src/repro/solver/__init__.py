@@ -1,11 +1,12 @@
 """Prepared walk operators: the zero-revalidation solver core.
 
-The absorbing-chain free functions in :mod:`repro.graph.absorbing` validate
-their transition matrix on every call — an O(nnz) scan that is pure waste on
-the warm serving path, where the matrix came out of our own
-:class:`~repro.graph.cache.TransitionCache` and was row-normalized at build
-time. :class:`WalkOperator` moves that validation to construction time and
-owns every other request-independent structure of the τ-sweep solve:
+:class:`WalkOperator` is the one entry point of the absorbing-walk solve
+(Absorbing Time/Cost, Algorithm 1's τ-sweep, the exact sparse solve). It
+validates its transition matrix once, at construction — an O(nnz) scan
+that would be pure waste per call on the warm serving path, where the
+matrix came out of our own :class:`~repro.graph.cache.TransitionCache` and
+was row-normalized at build time — and owns every other
+request-independent structure of the solve:
 
 * the CSR transition matrix, validated **exactly once**, plus a lazily
   materialized float32 copy for the bandwidth-halved serving mode;
@@ -21,8 +22,10 @@ owns every other request-independent structure of the τ-sweep solve:
   mode.
 
 :class:`~repro.graph.cache.TransitionCache` hands out prepared operators;
-:class:`~repro.core.graph_base.RandomWalkRecommender` consumes them. The
-free functions remain as thin validated wrappers for external callers.
+:class:`~repro.core.graph_base.RandomWalkRecommender` consumes them.
+Callers outside the serving path build one with ``WalkOperator(P)`` and
+call :meth:`~WalkOperator.solve`, :meth:`~WalkOperator.solve_multi` or
+:meth:`~WalkOperator.solve_exact`.
 """
 
 from repro.solver.operator import SOLVE_DTYPES, WalkOperator

@@ -1,12 +1,22 @@
 """The prepared walk operator: validate once, solve many times.
 
-:class:`WalkOperator` is the solver core behind both the free functions of
-:mod:`repro.graph.absorbing` and the warm serving path. It is built around
-one idea: everything that does not depend on the query — matrix validation,
-the float32 copy, cost vectors, component-label reachability, LU factors —
-is computed at most once per operator, and the per-query remainder (pin
-coordinates, reachability columns) is memoized in a small plan LRU so a
-repeated cohort re-derives nothing.
+:class:`WalkOperator` is the mathematical core the paper's recommenders
+stand on. **Absorbing Time** ``AT(S|i)`` (Definition 3, Eq. 6) satisfies
+the first-step recurrence ``AT(S|i) = 1 + Σ_j p_ij AT(S|j)`` with ``AT = 0``
+on ``S``; **Hitting Time** (Definition 1) is the single-node case, and
+**Absorbing Cost** (Eq. 8–9) replaces the constant ``1`` by a per-node
+expected local cost ``c_i``. :meth:`WalkOperator.solve_exact` solves
+``(I − P_TT)·x = c`` directly; :meth:`WalkOperator.solve` and
+:meth:`WalkOperator.solve_multi` run Algorithm 1's truncated iteration for
+τ sweeps (paper: τ = 15). Nodes that cannot reach ``S`` get ``+inf`` from
+every mode, so ranking never recommends them.
+
+The operator is built around one idea: everything that does not depend on
+the query — matrix validation, the float32 copy, cost vectors,
+component-label reachability, LU factors — is computed at most once per
+operator, and the per-query remainder (pin coordinates, reachability
+columns) is memoized in a small plan LRU so a repeated cohort re-derives
+nothing.
 
 The truncated sweep itself runs as ``Y ← P·X`` through scipy's low-level
 ``csr_matvecs`` kernel (the same routine scipy's ``@`` dispatches to), which
@@ -251,8 +261,8 @@ class WalkOperator:
         With component labels the column depends only on the *labels*
         present in the set — a tiny key space (usually one component per
         query) — and is a label-indexed gather on a miss; without labels
-        the key is the set itself and a miss runs the reversed-edge
-        Dijkstra the free functions always used.
+        the key is the set itself and a miss runs a reversed-edge Dijkstra
+        (correct for any transition pattern).
         """
         if self.labels is not None:
             labels = self.labels
@@ -363,8 +373,7 @@ class WalkOperator:
                     n_iterations: int = 15,
                     local_costs: np.ndarray | None = None,
                     dtype: str | None = None,
-                    chunk_size: int | None = None,
-                    reachable: np.ndarray | None = None) -> np.ndarray:
+                    chunk_size: int | None = None) -> np.ndarray:
         """Truncated absorbing values, one column per absorbing set.
 
         The cohort is processed in chunks of at most ``chunk_size`` columns;
@@ -373,10 +382,6 @@ class WalkOperator:
         ``2 × n_nodes × chunk_size`` solve-dtype floats plus the float64
         output — a 10k-user cohort no longer materializes a fresh
         ``(n_nodes, 10k)`` matrix per sweep.
-
-        ``reachable`` overrides the plan's reachability columns (shape
-        ``(n_nodes, n_sets)``); callers with precomputed masks keep the
-        historical free-function semantics.
         """
         n = self.n_nodes
         n_sets = len(absorbing_sets)
@@ -388,14 +393,7 @@ class WalkOperator:
         )
         costs = self._check_costs(local_costs)
         plan = self._plan(absorbing_sets)
-        if reachable is None:
-            reachable = self.reachable_columns(list(plan.sets))
-        else:
-            reachable = np.asarray(reachable, dtype=bool)
-            if reachable.shape != (n, n_sets):
-                raise GraphError(
-                    f"reachable must have shape {(n, n_sets)}; got {reachable.shape}"
-                )
+        reachable = self.reachable_columns(list(plan.sets))
         dtype = self.dtype if dtype is None else check_in_options(
             dtype, "dtype", SOLVE_DTYPES
         )

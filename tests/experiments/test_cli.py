@@ -1,8 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, load_user_file, main
+from repro.exceptions import DataFormatError
 
 
 class TestParser:
@@ -45,35 +47,56 @@ class TestMain:
         assert "DPPR" in out
 
 
-class TestServeBatch:
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-batch", "--algorithm", "nope"])
+class TestLoadUserFile:
+    def test_parses_indices_comments_blanks(self, tmp_path):
+        path = tmp_path / "users.txt"
+        path.write_text("0\n\n# a comment\n2  # trailing\n1\n2\n")
+        users = load_user_file(str(path), n_users=3)
+        np.testing.assert_array_equal(users, [0, 2, 1, 2])
 
-    def test_serves_default_cohort(self, capsys):
-        assert main(["serve-batch", "--algorithm", "AT", "--scale", "0.15",
-                     "--n-users", "8", "--k", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "users_per_sec" in out and "rank" in out
+    def test_rejects_non_integer(self, tmp_path):
+        path = tmp_path / "users.txt"
+        path.write_text("zero\n")
+        with pytest.raises(DataFormatError, match="user index"):
+            load_user_file(str(path), n_users=3)
 
-    def test_users_file_and_csv_output(self, tmp_path, capsys):
-        users_path = tmp_path / "cohort.txt"
-        users_path.write_text("0\n3\n# comment\n5\n")
-        out_path = str(tmp_path / "served.csv")
-        assert main(["serve-batch", "--algorithm", "PureSVD",
-                     "--scale", "0.15", "--k", "2",
-                     "--users-file", str(users_path), "--out", out_path]) == 0
-        with open(out_path) as handle:
-            lines = handle.read().strip().splitlines()
-        assert lines[0] == "user,rank,item,label,score"
-        served_users = {line.split(",")[0] for line in lines[1:]}
-        assert served_users == {"0", "3", "5"}
+    def test_rejects_out_of_range(self, tmp_path):
+        path = tmp_path / "users.txt"
+        path.write_text("99\n")
+        with pytest.raises(DataFormatError, match="out-of-range"):
+            load_user_file(str(path), n_users=3)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "users.txt"
+        path.write_text("# only comments\n")
+        with pytest.raises(DataFormatError, match="no user indices"):
+            load_user_file(str(path), n_users=3)
 
 
 class TestFitServe:
     def test_fit_requires_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fit", "--algorithm", "AT"])
+
+    def test_fit_rejects_unknown_algorithm(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fit", "--algorithm", "nope",
+                                       "--out", "model.npz"])
+
+    def test_serve_users_file_and_csv_output(self, tmp_path, capsys):
+        artifact = str(tmp_path / "model.npz")
+        assert main(["fit", "--algorithm", "PureSVD", "--scale", "0.15",
+                     "--out", artifact]) == 0
+        users_path = tmp_path / "cohort.txt"
+        users_path.write_text("0\n3\n# comment\n5\n")
+        out_path = str(tmp_path / "served.csv")
+        assert main(["serve", "--artifact", artifact, "--k", "2",
+                     "--users-file", str(users_path), "--out", out_path]) == 0
+        with open(out_path) as handle:
+            lines = handle.read().strip().splitlines()
+        assert lines[0] == "user,rank,item,label,score"
+        served_users = {line.split(",")[0] for line in lines[1:]}
+        assert served_users == {"0", "3", "5"}
 
     def test_fit_then_serve_roundtrip(self, tmp_path, capsys):
         artifact = str(tmp_path / "model.npz")

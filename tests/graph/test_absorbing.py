@@ -1,8 +1,9 @@
-"""Unit and property tests for the absorbing-chain solvers.
+"""Unit and property tests for the absorbing-chain solves of WalkOperator.
 
 Includes closed-form checks (symmetric random walk on a path), the
-exact-vs-truncated convergence claim of §4.1, and set-monotonicity
-properties of absorbing times.
+exact-vs-truncated convergence claim of §4.1, set-monotonicity properties
+of absorbing times, and two independent oracles: a reversed-edge Dijkstra
+for reachability and the plain ``x ← c + P·x`` loop for the τ-sweep.
 """
 
 import numpy as np
@@ -10,15 +11,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from repro.exceptions import GraphError
-from repro.graph.absorbing import (
-    exact_absorbing_values,
-    iteration_history,
-    reachability_mask,
-    truncated_absorbing_values,
-)
 from repro.graph.bipartite import UserItemGraph
+from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize
 
 
@@ -26,6 +23,30 @@ def path_transition(n: int) -> sp.csr_matrix:
     """Simple random walk on a path of n nodes (reflecting ends)."""
     a = sp.diags([np.ones(n - 1), np.ones(n - 1)], [1, -1], format="csr")
     return row_normalize(a)
+
+
+def reachability_mask(p, absorbing) -> np.ndarray:
+    """Oracle: nodes that reach ``absorbing``, by BFS along reversed edges."""
+    dist = dijkstra(p.T, indices=absorbing, unweighted=True, min_only=True)
+    return np.isfinite(dist)
+
+
+def iteration_history(p, absorbing, n_iterations, local_costs=None):
+    """Oracle: the τ-sweep as the plain loop ``x ← c + P·x``, ``x[S] = 0``.
+
+    Row ``t`` is the value vector after ``t + 1`` sweeps; unreachable nodes
+    keep their (finite, growing) iterate.
+    """
+    n = p.shape[0]
+    costs = np.ones(n) if local_costs is None else np.array(local_costs)
+    costs[absorbing] = 0.0
+    history = np.empty((n_iterations, n))
+    x = np.zeros(n)
+    for t in range(n_iterations):
+        x = costs + p @ x
+        x[absorbing] = 0.0
+        history[t] = x
+    return history
 
 
 class TestExactClosedForm:
@@ -38,48 +59,52 @@ class TestExactClosedForm:
         """
         n = 5
         p = path_transition(n)
-        values = exact_absorbing_values(p, np.array([0]))
+        values = WalkOperator(p).solve_exact(np.array([0]))
         for k in range(n):
             expected = k * (2 * n - 2 - k)
             assert values[k] == pytest.approx(expected, rel=1e-9), f"node {k}"
 
     def test_two_node_chain(self):
         p = path_transition(2)
-        values = exact_absorbing_values(p, np.array([0]))
+        values = WalkOperator(p).solve_exact(np.array([0]))
         np.testing.assert_allclose(values, [0.0, 1.0])
 
     def test_absorbing_nodes_zero(self, fig2):
         graph = UserItemGraph(fig2)
         absorbing = np.array([0, 7])
-        values = exact_absorbing_values(graph.transition_matrix(), absorbing)
+        operator = WalkOperator(graph.transition_matrix())
+        values = operator.solve_exact(absorbing)
         assert values[0] == 0.0 and values[7] == 0.0
 
     def test_unreachable_nodes_inf(self, disconnected):
         graph = UserItemGraph(disconnected)
-        values = exact_absorbing_values(graph.transition_matrix(), np.array([0]))
+        operator = WalkOperator(graph.transition_matrix())
+        values = operator.solve_exact(np.array([0]))
         other_component = graph.component_of(3)
         assert np.all(np.isinf(values[other_component]))
 
     def test_local_costs_scale_solution(self):
         """Doubling all local costs doubles every absorbing value."""
         p = path_transition(6)
-        base = exact_absorbing_values(p, np.array([0]))
-        doubled = exact_absorbing_values(p, np.array([0]), 2.0 * np.ones(6))
+        operator = WalkOperator(p)
+        base = operator.solve_exact(np.array([0]))
+        doubled = operator.solve_exact(np.array([0]), 2.0 * np.ones(6))
         np.testing.assert_allclose(doubled[1:], 2.0 * base[1:])
 
     def test_empty_absorbing_rejected(self):
         with pytest.raises(GraphError, match="empty"):
-            exact_absorbing_values(path_transition(3), np.array([], dtype=int))
+            WalkOperator(path_transition(3)).solve_exact(
+                np.array([], dtype=int))
 
     def test_non_stochastic_rejected(self):
         bad = sp.csr_matrix(np.array([[0.5, 0.2], [0.5, 0.5]]))
         with pytest.raises(GraphError, match="stochastic"):
-            exact_absorbing_values(bad, np.array([0]))
+            WalkOperator(bad).solve_exact(np.array([0]))
 
     def test_non_square_rejected(self):
         bad = sp.csr_matrix(np.ones((2, 3)) / 3)
         with pytest.raises(GraphError, match="square"):
-            exact_absorbing_values(bad, np.array([0]))
+            WalkOperator(bad).solve_exact(np.array([0]))
 
 
 class TestTruncated:
@@ -87,8 +112,9 @@ class TestTruncated:
         graph = UserItemGraph(fig2)
         p = graph.transition_matrix()
         absorbing = np.array([fig2.user_id("U5")])
-        exact = exact_absorbing_values(p, absorbing)
-        approx = truncated_absorbing_values(p, absorbing, n_iterations=3000)
+        operator = WalkOperator(p)
+        exact = operator.solve_exact(absorbing)
+        approx = operator.solve(absorbing, n_iterations=3000)
         np.testing.assert_allclose(approx, exact, rtol=1e-6)
 
     def test_monotone_in_iterations(self, fig2):
@@ -96,9 +122,10 @@ class TestTruncated:
         graph = UserItemGraph(fig2)
         p = graph.transition_matrix()
         absorbing = np.array([0])
-        previous = truncated_absorbing_values(p, absorbing, n_iterations=1)
+        operator = WalkOperator(p)
+        previous = operator.solve(absorbing, n_iterations=1)
         for tau in (2, 4, 8, 16):
-            current = truncated_absorbing_values(p, absorbing, n_iterations=tau)
+            current = operator.solve(absorbing, n_iterations=tau)
             assert np.all(current >= previous - 1e-12)
             previous = current
 
@@ -106,8 +133,9 @@ class TestTruncated:
         graph = UserItemGraph(fig2)
         p = graph.transition_matrix()
         absorbing = np.array([0])
-        exact = exact_absorbing_values(p, absorbing)
-        approx = truncated_absorbing_values(p, absorbing, n_iterations=10)
+        operator = WalkOperator(p)
+        exact = operator.solve_exact(absorbing)
+        approx = operator.solve(absorbing, n_iterations=10)
         finite = np.isfinite(exact)
         assert np.all(approx[finite] <= exact[finite] + 1e-12)
 
@@ -117,8 +145,9 @@ class TestTruncated:
         p = graph.transition_matrix()
         items = medium_synth.dataset.items_of_user(0)
         absorbing = graph.item_nodes(items)
-        exact = exact_absorbing_values(p, absorbing)
-        approx = truncated_absorbing_values(p, absorbing, n_iterations=15)
+        operator = WalkOperator(p)
+        exact = operator.solve_exact(absorbing)
+        approx = operator.solve(absorbing, n_iterations=15)
         candidates = np.setdiff1d(graph.item_nodes(), absorbing)
         finite = candidates[np.isfinite(exact[candidates])]
         top_exact = finite[np.argsort(exact[finite])][:10]
@@ -128,32 +157,48 @@ class TestTruncated:
 
     def test_unreachable_nodes_inf(self, disconnected):
         graph = UserItemGraph(disconnected)
-        values = truncated_absorbing_values(
-            graph.transition_matrix(), np.array([0]), n_iterations=5
-        )
+        operator = WalkOperator(graph.transition_matrix())
+        values = operator.solve(np.array([0]), n_iterations=5)
         assert np.isinf(values[graph.component_of(3)]).all()
 
-    def test_iteration_history_shape_and_final(self, fig2):
-        graph = UserItemGraph(fig2)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_every_sweep_matches_plain_loop(self, disconnected, weighted):
+        """Each τ's values equal the plain loop's iterate on reachable
+        nodes, bit for bit, and are ``+inf`` elsewhere."""
+        graph = UserItemGraph(disconnected)
         p = graph.transition_matrix()
-        absorbing = np.array([0])
-        history = iteration_history(p, absorbing, 10)
-        assert history.shape == (10, graph.n_nodes)
-        final = truncated_absorbing_values(p, absorbing, n_iterations=10)
-        finite = np.isfinite(final)
-        np.testing.assert_allclose(history[-1][finite], final[finite])
+        absorbing = np.array([0, 2])
+        costs = (np.linspace(0.5, 2.0, graph.n_nodes) if weighted else None)
+        history = iteration_history(p, absorbing, 10, costs)
+        reachable = reachability_mask(p, absorbing)
+        operator = WalkOperator(p)
+        for tau in range(1, 11):
+            values = operator.solve(absorbing, n_iterations=tau,
+                                    local_costs=costs)
+            np.testing.assert_array_equal(values[reachable],
+                                          history[tau - 1][reachable])
+            assert np.isinf(values[~reachable]).all()
 
 
 class TestReachability:
     def test_connected_all_reachable(self, fig2):
         graph = UserItemGraph(fig2)
-        mask = reachability_mask(graph.transition_matrix(), np.array([0]))
-        assert mask.all()
+        operator = WalkOperator(graph.transition_matrix())
+        assert operator.reachable_columns([np.array([0])]).all()
 
-    def test_disconnected_partition(self, disconnected):
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_disconnected_partition_matches_dijkstra(self, disconnected,
+                                                     labelled):
         graph = UserItemGraph(disconnected)
-        mask = reachability_mask(graph.transition_matrix(), np.array([0]))
-        assert mask.sum() == graph.component_of(0).size
+        p = graph.transition_matrix()
+        operator = WalkOperator(
+            p, labels=graph.component_labels() if labelled else None)
+        for absorbing in (np.array([0]), np.array([3]), np.array([0, 3])):
+            column = operator.reachable_columns([absorbing])[:, 0]
+            np.testing.assert_array_equal(column,
+                                          reachability_mask(p, absorbing))
+        column = operator.reachable_columns([np.array([0])])[:, 0]
+        assert column.sum() == graph.component_of(0).size
 
 
 class TestSetMonotonicity:
@@ -162,8 +207,8 @@ class TestSetMonotonicity:
         """AT(S ∪ {j} | i) <= AT(S | i) for every i."""
         graph = UserItemGraph(fig2)
         p = graph.transition_matrix()
-        small_set = exact_absorbing_values(p, np.array([0]))
-        big_set = exact_absorbing_values(p, np.array([0, extra_node]))
+        small_set = WalkOperator(p).solve_exact(np.array([0]))
+        big_set = WalkOperator(p).solve_exact(np.array([0, extra_node]))
         assert np.all(big_set <= small_set + 1e-9)
 
     @given(st.sets(st.integers(min_value=0, max_value=10), min_size=1, max_size=5))
@@ -173,6 +218,6 @@ class TestSetMonotonicity:
 
         graph = UserItemGraph(figure2_dataset())
         p = graph.transition_matrix()
-        values = exact_absorbing_values(p, np.array(sorted(absorbing_set)))
+        values = WalkOperator(p).solve_exact(np.array(sorted(absorbing_set)))
         assert np.all(values >= 0)
         assert np.all(np.isfinite(values))  # fig2 graph is connected

@@ -5,15 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import GraphError
-from repro.graph.absorbing import (
-    truncated_absorbing_values,
-    truncated_absorbing_values_multi,
-)
 from repro.graph.bipartite import UserItemGraph
 from repro.graph.proximity import (
     personalized_pagerank,
     personalized_pagerank_multi,
 )
+from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize
 
 
@@ -27,55 +24,42 @@ class TestTruncatedMulti:
         graph = UserItemGraph(fig2)
         p = graph.transition_matrix()
         sets = [np.array([0]), np.array([7, 8]), np.array([3, 0, 10])]
-        multi = truncated_absorbing_values_multi(p, sets, n_iterations=15)
+        multi = WalkOperator(p).solve_multi(sets, n_iterations=15)
         assert multi.shape == (graph.n_nodes, len(sets))
         for column, absorbing in enumerate(sets):
-            single = truncated_absorbing_values(p, absorbing, n_iterations=15)
+            single = WalkOperator(p).solve(absorbing, n_iterations=15)
             np.testing.assert_array_equal(single, multi[:, column])
 
     def test_local_costs_shared_across_columns(self):
         p = path_transition(6)
         costs = np.linspace(0.5, 2.0, 6)
         sets = [np.array([0]), np.array([5])]
-        multi = truncated_absorbing_values_multi(p, sets, n_iterations=20,
-                                                 local_costs=costs)
+        multi = WalkOperator(p).solve_multi(sets, n_iterations=20,
+                                            local_costs=costs)
         for column, absorbing in enumerate(sets):
-            single = truncated_absorbing_values(p, absorbing, n_iterations=20,
-                                                local_costs=costs)
+            single = WalkOperator(p).solve(absorbing, n_iterations=20,
+                                           local_costs=costs)
             np.testing.assert_array_equal(single, multi[:, column])
 
     def test_unreachable_nodes_inf(self, disconnected):
         graph = UserItemGraph(disconnected)
         p = graph.transition_matrix()
-        multi = truncated_absorbing_values_multi(p, [np.array([0])])
+        multi = WalkOperator(p).solve_multi([np.array([0])])
         other = graph.component_of(3)
         assert np.isinf(multi[other, 0]).all()
 
-    def test_explicit_reachable_mask(self):
-        p = path_transition(4)
-        reachable = np.ones((4, 1), dtype=bool)
-        multi = truncated_absorbing_values_multi(p, [np.array([0])],
-                                                 reachable=reachable)
-        assert np.isfinite(multi).all()
-
-    def test_reachable_shape_validated(self):
-        p = path_transition(4)
-        with pytest.raises(GraphError, match="reachable"):
-            truncated_absorbing_values_multi(p, [np.array([0])],
-                                             reachable=np.ones((4, 2), dtype=bool))
-
     def test_empty_set_list(self):
         p = path_transition(4)
-        assert truncated_absorbing_values_multi(p, []).shape == (4, 0)
+        assert WalkOperator(p).solve_multi([]).shape == (4, 0)
 
     def test_empty_absorbing_set_rejected(self):
         p = path_transition(4)
         with pytest.raises(GraphError, match="empty"):
-            truncated_absorbing_values_multi(p, [np.empty(0, dtype=np.int64)])
+            WalkOperator(p).solve_multi([np.empty(0, dtype=np.int64)])
 
     def test_absorbing_rows_zero(self):
         p = path_transition(5)
-        multi = truncated_absorbing_values_multi(p, [np.array([1, 3])])
+        multi = WalkOperator(p).solve_multi([np.array([1, 3])])
         assert multi[1, 0] == 0.0 and multi[3, 0] == 0.0
 
 

@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from repro.data.dataset import RatingDataset
-from repro.graph.absorbing import (
-    exact_absorbing_values,
-    reachability_mask,
-    truncated_absorbing_values,
-)
 from repro.graph.bipartite import UserItemGraph
 from repro.graph.random_walk import reversibility_gap
+from repro.solver import WalkOperator
 
 
 @st.composite
@@ -66,8 +63,9 @@ class TestAbsorbingInvariants:
         p = graph.transition_matrix()
         node = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
         absorbing = np.array([node])
-        exact = exact_absorbing_values(p, absorbing)
-        approx = truncated_absorbing_values(p, absorbing, n_iterations=12)
+        operator = WalkOperator(p)
+        exact = operator.solve_exact(absorbing)
+        approx = operator.solve(absorbing, n_iterations=12)
         finite = np.isfinite(exact)
         assert np.all(exact[finite] >= 0)
         assert np.all(approx[finite] <= exact[finite] + 1e-9)
@@ -84,10 +82,12 @@ class TestAbsorbingInvariants:
             st.sets(st.integers(min_value=0, max_value=graph.n_nodes - 1),
                     min_size=size, max_size=size)
         )))
-        values = exact_absorbing_values(p, absorbing)
+        values = WalkOperator(p).solve_exact(absorbing)
         assert np.all(values[absorbing] == 0.0)
-        mask = reachability_mask(p, absorbing)
-        assert np.array_equal(np.isfinite(values), mask)
+        # Oracle: reachability by BFS along reversed edges.
+        dist = dijkstra(p.T, indices=absorbing, unweighted=True,
+                        min_only=True)
+        assert np.array_equal(np.isfinite(values), np.isfinite(dist))
 
     @given(rating_matrices(), st.data())
     @settings(max_examples=30, deadline=None)
@@ -96,8 +96,9 @@ class TestAbsorbingInvariants:
         p = graph.transition_matrix()
         a = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
         b = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
-        small = exact_absorbing_values(p, np.array([a]))
-        big = exact_absorbing_values(p, np.array(sorted({a, b})))
+        operator = WalkOperator(p)
+        small = operator.solve_exact(np.array([a]))
+        big = operator.solve_exact(np.array(sorted({a, b})))
         finite = np.isfinite(small)
         assert np.all(big[finite] <= small[finite] + 1e-9)
 
@@ -110,10 +111,9 @@ class TestAbsorbingInvariants:
         node = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
         absorbing = np.array([node])
         factor = data.draw(st.floats(min_value=0.1, max_value=10.0))
-        base = exact_absorbing_values(p, absorbing)
-        scaled = exact_absorbing_values(
-            p, absorbing, factor * np.ones(graph.n_nodes)
-        )
+        operator = WalkOperator(p)
+        base = operator.solve_exact(absorbing)
+        scaled = operator.solve_exact(absorbing, factor * np.ones(graph.n_nodes))
         finite = np.isfinite(base)
         np.testing.assert_allclose(scaled[finite], factor * base[finite],
                                    rtol=1e-8)

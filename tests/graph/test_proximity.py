@@ -81,13 +81,13 @@ class TestCommuteTimes:
 
     def test_equals_sum_of_hitting_times(self, fig2):
         """C(i, j) = H(i|j) + H(j|i), cross-checked with the exact solver."""
-        from repro.graph.absorbing import exact_absorbing_values
+        from repro.solver import WalkOperator
 
         graph = UserItemGraph(fig2)
-        p = graph.transition_matrix()
+        operator = WalkOperator(graph.transition_matrix())
         i, j = 0, 7
-        h_to_i = exact_absorbing_values(p, np.array([i]))
-        h_to_j = exact_absorbing_values(p, np.array([j]))
+        h_to_i = operator.solve_exact(np.array([i]))
+        h_to_j = operator.solve_exact(np.array([j]))
         expected = h_to_i[j] + h_to_j[i]
         c = commute_times(graph.adjacency, i)
         assert c[j] == pytest.approx(expected, rel=1e-9)

@@ -92,11 +92,12 @@ class TestMonteCarloAbsorbingTime:
 
     def test_matches_exact_on_fig2(self, fig2):
         """Simulation cross-validates the analytic hitting time."""
-        from repro.graph.absorbing import exact_absorbing_values
+        from repro.solver import WalkOperator
 
         graph = UserItemGraph(fig2)
         q = fig2.user_id("U5")
-        exact = exact_absorbing_values(graph.transition_matrix(), np.array([q]))
+        exact = WalkOperator(graph.transition_matrix()).solve_exact(
+            np.array([q]))
         m4 = graph.item_node(fig2.item_id("M4"))
         estimate = monte_carlo_absorbing_time(
             graph.adjacency, m4, {q}, n_walks=3000, rng=np.random.default_rng(0)

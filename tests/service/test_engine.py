@@ -1,6 +1,8 @@
 """ServingEngine: warm caches must never change results, edge cases included."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,12 +14,7 @@ from repro import (
     ServingEngine,
 )
 from repro.exceptions import ConfigError, NotFittedError, UnknownUserError
-from repro.service import (
-    BatchServingReport,
-    EngineReport,
-    TopKStore,
-    serve_user_cohort,
-)
+from repro.service import EngineReport, TopKStore, rows_from_ranked_arrays
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +25,15 @@ def fitted_at(small_synth):
 @pytest.fixture()
 def engine(fitted_at):
     return ServingEngine(fitted_at)
+
+
+def model_rows(recommender, users, k):
+    """Cohort rows straight from the model's batch path: no engine caches."""
+    users = np.asarray(users, dtype=np.int64)
+    items, scores = recommender.recommend_batch_arrays(users, k=k)
+    labels = np.empty(recommender.dataset.n_items, dtype=object)
+    labels[:] = list(recommender.dataset.item_labels)
+    return rows_from_ranked_arrays(users, items, scores, labels)
 
 
 class TestConstruction:
@@ -63,12 +69,41 @@ class TestConstruction:
 
 
 class TestCohortServing:
-    def test_matches_stateless_serving(self, fitted_at, engine):
+    @pytest.mark.parametrize("batch_size", [256, 5])
+    def test_matches_model_batch_path(self, fitted_at, engine, batch_size):
         users = np.arange(0, 100, 9)
-        stateless = serve_user_cohort(fitted_at, users, k=6)
-        report = engine.serve_cohort(users, k=6)
-        assert report.rows == stateless.rows
+        report = engine.serve_cohort(users, k=6, batch_size=batch_size)
+        assert report.rows == model_rows(fitted_at, users, k=6)
         assert report.n_users == users.size
+
+    def test_rows_cover_cohort(self, tiny_dataset):
+        fitted = MostPopularRecommender().fit(tiny_dataset)
+        report = ServingEngine(fitted).serve_cohort(np.array([0, 1, 2]), k=2)
+        assert report.n_users == 3 and report.k == 2
+        assert {row["user"] for row in report.rows} == {0, 1, 2}
+        assert all(1 <= row["rank"] <= 2 for row in report.rows)
+
+    def test_rows_match_recommend_batch(self, tiny_dataset):
+        """Rows against the model's Recommendation lists, an oracle that
+        does not go through the engine's own row assembly. k exceeds what
+        both users have left unrated, so padding is dropped too."""
+        fitted = MostPopularRecommender().fit(tiny_dataset)
+        users = np.array([0, 2])
+        report = ServingEngine(fitted).serve_cohort(users, k=3, batch_size=1)
+        expected = [
+            {"user": int(user), "rank": rank, "item": rec.item,
+             "label": rec.label, "score": rec.score}
+            for user, ranked in zip(users, fitted.recommend_batch(users, k=3))
+            for rank, rec in enumerate(ranked, start=1)
+        ]
+        assert report.rows == expected
+
+    def test_throughput_fields(self, engine):
+        report = engine.serve_cohort(np.array([0]), k=1)
+        summary = report.summary()
+        assert summary["users"] == 1 and summary["k"] == 1
+        assert report.seconds > 0
+        assert report.users_per_second > 0
 
     def test_warm_pass_identical_and_counted(self, engine):
         users = np.arange(0, 60, 5)
@@ -212,64 +247,64 @@ class TestWarmAndStats:
             engine = ServingEngine(fitted)
             report = engine.serve_cohort(np.arange(10), k=5)
             assert report.scoring_cache == {}
-            assert report.rows == serve_user_cohort(fitted, np.arange(10),
-                                                    k=5).rows
+            assert report.rows == model_rows(fitted, np.arange(10), k=5)
 
 
-class TestWorkerDispatch:
-    """Parallel component-group dispatch must never change a ranking."""
-
-    def test_thread_workers_identical_rows(self, fitted_at):
-        users = np.arange(0, 100, 3)
-        serial = ServingEngine(fitted_at, result_cache_size=0)
-        threaded = ServingEngine(fitted_at, result_cache_size=0, n_workers=3)
-        assert (threaded.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
-    def test_process_workers_identical_rows(self, fitted_at):
-        users = np.arange(0, 40, 3)
-        serial = ServingEngine(fitted_at, result_cache_size=0)
-        forked = ServingEngine(fitted_at, result_cache_size=0, n_workers=2,
-                               worker_mode="process")
-        assert (forked.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
-    def test_thread_workers_on_non_walk_algorithm(self, small_synth):
-        fitted = PureSVDRecommender().fit(small_synth.dataset)
-        serial = ServingEngine(fitted, result_cache_size=0)
-        threaded = ServingEngine(fitted, result_cache_size=0, n_workers=2)
-        users = np.arange(0, 60, 2)
-        assert (threaded.serve_cohort(users, k=5).rows
-                == serial.serve_cohort(users, k=5).rows)
-
+class TestStageTimings:
     def test_stage_timings_reported(self, fitted_at):
-        engine = ServingEngine(fitted_at, n_workers=2)
+        engine = ServingEngine(fitted_at)
         report = engine.serve_cohort(np.arange(0, 30, 2), k=4)
-        assert report.n_workers == 2
         assert {"lookup", "solve", "assemble"} <= set(report.timings)
         assert all(v >= 0 for v in report.timings.values())
         assert "solve_s" in report.summary()
 
-    def test_invalid_worker_config_rejected(self, fitted_at):
-        with pytest.raises(ConfigError, match="n_workers"):
-            ServingEngine(fitted_at, n_workers=0)
-        with pytest.raises(ConfigError, match="worker_mode"):
-            ServingEngine(fitted_at, worker_mode="fibers")
+    def test_concurrent_reader_time_stays_out_of_cohort_report(
+            self, fitted_at, monkeypatch):
+        """Regression: stage timings are per call. A reader on another
+        thread (the BatchingServer path) that is still inside its solve
+        when a cohort starts must not add its solve time to the cohort's
+        ``timings`` — the cohort's solve stage cannot outlast the cohort."""
+        engine = ServingEngine(fitted_at)
+        solve = fitted_at.recommend_batch_arrays
+        reader_solving = threading.Event()
+        release_reader = threading.Event()
+
+        def held_solve(users, *args, **kwargs):
+            if threading.current_thread() is reader:
+                reader_solving.set()
+                assert release_reader.wait(timeout=10)
+            else:
+                # The cohort, inside its own solve stage, lets the reader
+                # finish its solve before going on.
+                release_reader.set()
+                reader.join(timeout=10)
+            return solve(users, *args, **kwargs)
+
+        monkeypatch.setattr(fitted_at, "recommend_batch_arrays", held_solve)
+        reader = threading.Thread(target=engine.recommend_many, args=([1],),
+                                  kwargs={"k": 4})
+        reader.start()
+        assert reader_solving.wait(timeout=10)
+        time.sleep(0.1)  # the reader's solve stage now outlasts the cohort
+        report = engine.serve_cohort(np.array([2, 3]), k=4)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert report.n_solves == 2
+        assert 0 < report.timings["solve"] <= report.seconds
 
 
 class TestDedupeAndSolveCounts:
-    def test_duplicates_solved_once_and_fanned_out(self, fitted_at):
-        engine = ServingEngine(fitted_at)
-        report = engine.serve_cohort(np.array([3, 5, 3, 5, 3]), k=4)
+    @pytest.mark.parametrize("result_cache_size", [65536, 0])
+    def test_duplicates_solved_once_and_fanned_out(self, fitted_at,
+                                                   result_cache_size):
+        engine = ServingEngine(fitted_at, result_cache_size=result_cache_size)
+        cohort = np.array([3, 5, 3, 5, 3])
+        report = engine.serve_cohort(cohort, k=4)
         assert report.n_users == 5
         assert report.n_solves == 2  # one per distinct user
-        by_rank_one = [r for r in report.rows if r["rank"] == 1]
-        per_user = {r["user"]: r["item"] for r in by_rank_one}
-        for row in by_rank_one:
-            assert row["item"] == per_user[row["user"]]
-        # And the rows match a duplicate-free serve of the same users.
-        clean = ServingEngine(fitted_at).serve_cohort(np.array([3]), k=4)
-        assert [r for r in report.rows if r["user"] == 3][:4] == clean.rows
+        # Rows come back in cohort order, duplicates fanned out verbatim.
+        per_user = {u: model_rows(fitted_at, [u], k=4) for u in (3, 5)}
+        assert report.rows == [row for u in cohort for row in per_user[int(u)]]
 
     def test_warm_pass_reports_zero_solves(self, fitted_at):
         engine = ServingEngine(fitted_at)
@@ -299,6 +334,18 @@ class TestZeroRevalidation:
         assert warm.scoring_cache["operator_validations"] == validations_cold
 
 
+class TestRowsFromRankedArrays:
+    def test_padding_dropped_ranks_and_labels_kept(self):
+        users = np.array([7, 4])
+        items = np.array([[2, 0, -1], [-1, -1, -1]])
+        scores = np.array([[0.5, 0.25, -np.inf], [-np.inf] * 3])
+        labels = np.array(["a", "b", "c"], dtype=object)
+        assert rows_from_ranked_arrays(users, items, scores, labels) == [
+            {"user": 7, "rank": 1, "item": 2, "label": "c", "score": 0.5},
+            {"user": 7, "rank": 2, "item": 0, "label": "a", "score": 0.25},
+        ]
+
+
 class TestReportJsonSafety:
     """Regression: a zero-second run must stay JSON-serializable."""
 
@@ -313,11 +360,6 @@ class TestReportJsonSafety:
         report = EngineReport(n_users=5, seconds=0.0)
         payload = json.dumps(report.summary())
         assert json.loads(payload)["users_per_sec"] == 0.0
-
-    def test_batch_serving_report_clamped_too(self):
-        report = BatchServingReport(n_users=3, seconds=0.0)
-        assert report.users_per_second == 0.0
-        assert json.loads(json.dumps(report.summary()))["users_per_sec"] == 0.0
 
     def test_live_summary_always_json_safe(self, engine):
         report = engine.serve_cohort(np.arange(4), k=3)

@@ -17,8 +17,9 @@ from repro import (
     ServingEngine,
 )
 from repro.data.dataset import RatingDataset
+from repro.cli import load_event_file
 from repro.exceptions import ConfigError, DataFormatError
-from repro.service import UpdateReport, load_event_file
+from repro.service import UpdateReport
 
 
 def _blocks_dataset() -> RatingDataset:

@@ -5,11 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ConfigError, GraphError
-from repro.graph.absorbing import (
-    exact_absorbing_values,
-    truncated_absorbing_values,
-    truncated_absorbing_values_multi,
-)
 from repro.graph.bipartite import UserItemGraph
 from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize
@@ -59,20 +54,22 @@ class TestValidation:
 
 
 class TestSolveEquivalence:
-    def test_solve_matches_free_function(self, fig2_operator):
+    # *_matches_label_less: label-indexed reachability (the fixture's
+    # labelled operator) against the label-less operator's Dijkstra.
+    def test_solve_matches_label_less(self, fig2_operator):
         operator, graph = fig2_operator
         absorbing = np.array([0])
-        expected = truncated_absorbing_values(graph.transition_matrix(),
-                                              absorbing, n_iterations=15)
+        expected = WalkOperator(graph.transition_matrix()).solve(
+            absorbing, n_iterations=15)
         np.testing.assert_array_equal(
             operator.solve(absorbing, n_iterations=15), expected
         )
 
-    def test_solve_multi_matches_free_function(self, fig2_operator):
+    def test_solve_multi_matches_label_less(self, fig2_operator):
         operator, graph = fig2_operator
         sets = [np.array([0]), np.array([7, 8]), np.array([3, 0, 10])]
-        expected = truncated_absorbing_values_multi(graph.transition_matrix(),
-                                                    sets, n_iterations=15)
+        expected = WalkOperator(graph.transition_matrix()).solve_multi(
+            sets, n_iterations=15)
         np.testing.assert_array_equal(
             operator.solve_multi(sets, n_iterations=15), expected
         )
@@ -84,24 +81,28 @@ class TestSolveEquivalence:
         chunked = operator.solve_multi(sets, n_iterations=12, chunk_size=3)
         np.testing.assert_array_equal(full, chunked)
 
-    def test_solve_exact_matches_free_function(self, fig2_operator):
+    def test_solve_exact_matches_label_less(self, fig2_operator):
         operator, graph = fig2_operator
         absorbing = np.array([2])
-        expected = exact_absorbing_values(graph.transition_matrix(), absorbing)
+        expected = WalkOperator(graph.transition_matrix()).solve_exact(
+            absorbing)
         np.testing.assert_allclose(operator.solve_exact(absorbing), expected,
                                    rtol=1e-12, atol=1e-12)
 
     def test_local_costs_respected(self):
         p = path_transition(6)
         costs = np.linspace(0.5, 2.0, 6)
-        operator = WalkOperator(p)
-        expected = truncated_absorbing_values(p, np.array([0]),
-                                              n_iterations=20,
-                                              local_costs=costs)
+        labelled = WalkOperator(p, labels=np.zeros(6, dtype=np.int64))
+        values = labelled.solve(np.array([0]), n_iterations=20,
+                                local_costs=costs)
         np.testing.assert_array_equal(
-            operator.solve(np.array([0]), n_iterations=20, local_costs=costs),
-            expected,
+            values,
+            WalkOperator(p).solve(np.array([0]), n_iterations=20,
+                                  local_costs=costs),
         )
+        # The costs reach the values: unit costs give a different answer.
+        assert not np.array_equal(
+            values, labelled.solve(np.array([0]), n_iterations=20))
 
     def test_unreachable_inf_with_labels(self, disconnected):
         graph = UserItemGraph(disconnected)

@@ -1,10 +1,12 @@
 """Contract tests for the public API surface.
 
-Every name exported by ``repro.__all__`` must resolve, every recommender
-class must honour the shared interface, and the version/docstring metadata
-must be present — the things a downstream user touches first.
+Every name exported by ``__all__`` of ``repro`` and its public subpackages
+must resolve, every recommender class must honour the shared interface,
+and the version/docstring metadata must be present — the things a
+downstream user touches first.
 """
 
+import importlib
 import inspect
 
 import numpy as np
@@ -15,9 +17,13 @@ from repro.core.base import Recommender
 
 
 class TestExports:
-    def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("module", ["repro", "repro.service",
+                                        "repro.graph", "repro.core",
+                                        "repro.solver"])
+    def test_all_names_resolve(self, module):
+        package = importlib.import_module(module)
+        for name in package.__all__:
+            assert hasattr(package, name), f"{module}.{name}"
 
     def test_version_present(self):
         assert repro.__version__.count(".") == 2
