@@ -332,6 +332,7 @@ AUTO_INSTRUMENT_CLASSES = (
     ("repro.service.fleet", "_ShardWorker"),
     ("repro.graph.cache", "TransitionCache"),
     ("repro.core.graph_base", "RandomWalkRecommender"),
+    ("repro.solver.operator", "WalkOperator"),
 )
 
 

@@ -35,11 +35,13 @@ and every cache entry carries a prepared
 :class:`~repro.solver.WalkOperator`: the transition matrix is validated
 exactly once when the entry is built, the per-group cost vectors and
 label-indexed reachability are memoized inside the operator, and the
-τ-sweeps run chunked through preallocated buffers in the configured
-``dtype`` policy (``float32`` halves SpMM bandwidth; top-k parity with
-float64 is asserted in the test suite). A serving process hitting the same
-component groups request after request pays the sparse slice, normalization
-and validation once; repeat requests go straight to the solve. The cache is
+τ-sweeps run chunked in the configured ``dtype`` policy (``float32`` halves
+SpMM bandwidth; top-k parity with float64 is asserted in the test suite).
+A serving process hitting the same component groups request after request
+pays the sparse slice, normalization and validation once; repeat requests
+go straight to the solve. Every cached operator is bipartite (users first,
+then items), so a sweep computes only the side the next step reads and a
+solve returns just the item rows that ranking reads. The cache is
 (re)built lazily after ``fit`` or ``load_state_dict`` and its hit/miss and
 operator counters surface through :meth:`Recommender.scoring_cache_stats`
 into the serving-engine reports.
@@ -82,8 +84,9 @@ class RandomWalkRecommender(Recommender):
         identical top-k — see the dtype-parity tests).
     chunk_size:
         Column budget per multi-RHS chunk; bounds the dense sweep memory at
-        ``2 × n_subgraph_nodes × chunk_size`` floats however large the
-        cohort is.
+        ``n_subgraph_nodes × chunk_size`` floats however large the cohort
+        is (the operators are bipartite, so their half-sweeps work in place
+        in one buffer).
     """
 
     def __init__(self, method: str = "truncated", n_iterations: int = 15,
@@ -250,7 +253,11 @@ class RandomWalkRecommender(Recommender):
 
     def _solve(self, operator: WalkOperator,
                absorbing_local: np.ndarray) -> np.ndarray:
-        """Single-query absorbing values through a prepared operator."""
+        """Single-query absorbing values through a prepared operator.
+
+        Like every solve of a cached (bipartite) operator, the result holds
+        the item rows only.
+        """
         local_costs = operator.costs_for(self._cost_model())
         if self.method == "exact":
             return operator.solve_exact(absorbing_local, local_costs)
@@ -259,7 +266,7 @@ class RandomWalkRecommender(Recommender):
 
     def _solve_multi(self, operator: WalkOperator,
                      absorbing_sets: list[np.ndarray]) -> np.ndarray:
-        """``(n_nodes, n_sets)`` absorbing values, one column per query.
+        """``(n_items, n_sets)`` absorbing values, one column per query.
 
         The operator's component labels make per-query reachability a
         label-indexed lookup — no graph traversal, no ``np.isin`` sort.
@@ -308,11 +315,8 @@ class RandomWalkRecommender(Recommender):
             # query user is adjacent to their items so this only triggers on
             # pathological inputs.
             return scores
-        values = self._solve(operator, absorbing_local)
-
-        item_node_positions = np.flatnonzero(index.nodes >= graph.n_users)
-        item_indices = index.nodes[item_node_positions] - graph.n_users
-        item_values = values[item_node_positions]
+        item_values = self._solve(operator, absorbing_local)
+        item_indices = index.nodes[operator.n_users:] - graph.n_users
         finite = np.isfinite(item_values)
         scores[item_indices[finite]] = -item_values[finite]
         return scores
@@ -397,8 +401,7 @@ class RandomWalkRecommender(Recommender):
                     np.searchsorted(entry.nodes, absorbing_sets[i])
                     for i in members
                 ]
-            values = self._solve_multi(entry.operator, absorbing_local)
-            item_values = values[entry.item_positions, :]
+            item_values = self._solve_multi(entry.operator, absorbing_local)
             # One vectorized scatter per group: non-finite values land as
             # -inf, matching the rows' initial fill.
             block = np.where(np.isfinite(item_values), -item_values, -np.inf)

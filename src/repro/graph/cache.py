@@ -13,7 +13,10 @@ refactor every entry carries a ready-to-solve
 :class:`~repro.solver.WalkOperator`: the transition matrix is validated
 exactly once when the entry is built, and every subsequent solve through the
 operator skips validation, reuses the memoized cost vectors and label-indexed
-reachability, and sweeps through preallocated chunked buffers.
+reachability, and sweeps through chunked buffers. Every operator is built
+with its entry's user mask over a users-first node order, so it is a
+bipartite operator: its sweeps compute only the side the next step reads,
+and its solves return the item rows only.
 
 * :meth:`group` — the shared transition matrix (plus user mask, local
   component labels, item index maps, the entropy slice and the prepared
@@ -24,14 +27,18 @@ reachability, and sweeps through preallocated chunked buffers.
   expansion is deterministic, so a repeated query skips the traversal, the
   sparse slice, the normalization and the validation entirely. An entry
   keeps only the node order, its sorted inverse and the operator — the
-  induced adjacency is dropped once the transition is built;
+  induced adjacency is dropped once the transition is built. The
+  subgraph's nodes are laid out by kind (users, then items, each in BFS
+  order), so the operator is bipartite like a group's;
 * :attr:`node_entropy` — the full per-node entropy vector, computed once.
 
 Entries are kept in an LRU dict bounded by ``max_entries``; hit/miss
 counters feed the serving reports (`cache-hit stats` in
-:class:`~repro.service.engine.ServingEngine`). Lookups are guarded by a lock
-so the serving engine may resolve independent component-groups from worker
-threads; a racing cold build can run twice, but only one entry wins.
+:class:`~repro.service.engine.ServingEngine`). Lookups are guarded by a lock,
+because a :class:`~repro.service.server.BatchingServer`'s solve thread and
+direct callers can resolve groups at the same time; a racing cold build can
+run twice, but only one entry wins. The operators themselves are shared by
+every such thread.
 
 The cache assumes the graph and the entropy vector are frozen between
 updates — the offline-fit / online-serve contract of the artifact layer.
@@ -69,7 +76,8 @@ class TransitionGroup:
     Attributes
     ----------
     nodes:
-        Parent-graph node indices of the group, sorted ascending.
+        Parent-graph node indices of the group, sorted ascending (so users
+        come first, then items).
     transition:
         Row-normalized transition matrix over ``nodes``.
     user_mask:
@@ -79,9 +87,11 @@ class TransitionGroup:
     node_entropy:
         Entropy per local node (user entropy at user nodes, 0 at items).
     item_positions:
-        Local positions of the item nodes (``flatnonzero(~user_mask)``).
+        Local positions of the item nodes (``flatnonzero(~user_mask)``):
+        the rows the operator's solves return, in order.
     item_indices:
-        Catalogue item index of each entry of ``item_positions``.
+        Catalogue item index of each entry of ``item_positions``, so of
+        each row a solve returns.
     operator:
         The prepared :class:`~repro.solver.WalkOperator` over ``transition``
         — validated once at build time; all warm solves go through it.
@@ -157,9 +167,9 @@ class TransitionCache:
                 self.hits += 1
                 return entry
             self.misses += 1
-        # Build outside the lock so independent groups can build in parallel
-        # from engine worker threads; a duplicate racing build is harmless
-        # (first writer wins, the loser's entry is discarded).
+        # Build outside the lock so a slow build never stalls another
+        # thread's hit; a duplicate racing build is harmless (first writer
+        # wins, the loser's entry is discarded).
         entry = builder()
         with self._lock:
             existing = entries.get(key)
@@ -254,7 +264,9 @@ class TransitionCache:
         An entry holds one sparse matrix, the operator's transition: the
         induced adjacency is dropped once the transition exists, and the
         parent → local map is the :class:`~repro.graph.subgraph.NodeIndex`'s
-        sorted arrays, not a per-node dict. When the BFS established that
+        sorted arrays, not a per-node dict. Both follow the subgraph's
+        ``by_kind`` order, users then items, so the operator is bipartite
+        and its solves return the item rows. When the BFS established that
         the subgraph is one connected piece, the operator gets a single
         component label, so reachability is a label lookup instead of a
         reversed-edge Dijkstra per absorbing set; any other subgraph keeps
@@ -265,7 +277,7 @@ class TransitionCache:
 
         def build():
             sub = bfs_subgraph(self.graph, seed_items, max_items)
-            nodes = sub.nodes
+            nodes = sub.by_kind.nodes
             operator = WalkOperator(
                 self._subgraph_transition(sub.adjacency, nodes),
                 labels=(np.zeros(nodes.size, dtype=np.int8)
@@ -274,7 +286,7 @@ class TransitionCache:
                 node_entropy=self.node_entropy[nodes],
                 substochastic=self.graph.substochastic,
             )
-            return (sub.index, operator)
+            return (sub.by_kind, operator)
 
         return self._get(self._bfs, key, build, self.max_bfs_entries)
 
@@ -388,17 +400,14 @@ class TransitionCache:
         zero-revalidation contract: serving a cached group any number of
         times never increments it.
         """
-        with self._lock:  # snapshot: worker threads may be inserting
+        with self._lock:  # snapshot: other threads may be inserting
             operators = [entry.operator for entry in self._groups.values()]
             operators += [op for _, op in self._bfs.values()]
-        return {
-            "operators": len(operators),
-            "validations": sum(op.validations for op in operators),
-            "solves": sum(op.solves for op in operators),
-            "columns_solved": sum(op.columns_solved for op in operators),
-            "plan_hits": sum(op.plan_hits for op in operators),
-            "plan_misses": sum(op.plan_misses for op in operators),
-        }
+        stats = [op.stats() for op in operators]
+        counters = ("validations", "solves", "columns_solved", "plan_hits",
+                    "plan_misses")
+        return {"operators": len(operators),
+                **{name: sum(s[name] for s in stats) for name in counters}}
 
     def stats(self) -> dict:
         """Counters for serving reports (one consistent snapshot)."""

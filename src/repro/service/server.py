@@ -48,6 +48,7 @@ import json
 import math
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from urllib.parse import parse_qs, urlsplit
@@ -303,6 +304,11 @@ class BatchingServer:
                                                  "latency_window")
         self._queue: asyncio.Queue | None = None
         self._loop_task: asyncio.Task | None = None
+        # The one solve thread, owned by the server between start() and
+        # stop(). The loop's default pool would start a second thread
+        # whenever a batch is submitted before the last solve's thread
+        # has marked itself idle.
+        self._executor: ThreadPoolExecutor | None = None
         self._running = False
         self._started_at = 0.0
         self._latencies_s: list[float] = []  # ring-bounded, see _record
@@ -323,6 +329,8 @@ class BatchingServer:
         if self._running:
             raise ConfigError("server already started")
         self._queue = asyncio.Queue()
+        self._executor = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="repro-solve")
         self._running = True
         self._started_at = time.perf_counter()
         self._loop_task = asyncio.get_running_loop().create_task(
@@ -344,6 +352,8 @@ class BatchingServer:
         await self._loop_task
         self._loop_task = None
         self._queue = None
+        self._executor.shutdown()  # idle: the drained loop awaited every solve
+        self._executor = None
 
     async def __aenter__(self) -> "BatchingServer":
         return await self.start()
@@ -461,9 +471,9 @@ class BatchingServer:
             excludes = [request.exclude for request in requests]
             try:
                 ranked_lists = await loop.run_in_executor(
-                    None, partial(self.engine.recommend_many, users, k=k,
-                                  exclude_rated=exclude_rated,
-                                  excludes=excludes)
+                    self._executor,
+                    partial(self.engine.recommend_many, users, k=k,
+                            exclude_rated=exclude_rated, excludes=excludes),
                 )
             except Exception as exc:  # engine failure fans out per request
                 for request in requests:

@@ -15,11 +15,16 @@ request-independent structure of the solve:
 * memoized per-cost-model local cost vectors;
 * an LRU of *solve plans* (pin coordinates) plus a per-set reachability
   column memo, so a repeated cohort re-derives nothing;
-* chunked multi-RHS sweeps through a single pair of ping-pong buffers,
-  bounding dense memory at ``2 × n_nodes × chunk_size`` floats regardless
-  of cohort size;
+* chunked multi-RHS sweeps, one loop over row blocks. An operator built
+  with a ``user_mask`` is bipartite (users first, then items, no
+  same-kind edge — checked at construction): its sweep alternates item and
+  user half-sweeps in place in one ``n_nodes × chunk_size`` buffer and its
+  solves return the item rows only. Without a mask the sweep covers every
+  row, ping-ponging between two such buffers;
 * an LRU of ``splu`` factorizations (one per absorbing set) for the exact
-  mode.
+  mode;
+* a leaf lock over those memos and the counters, since cached operators
+  are shared by every serving thread.
 
 :class:`~repro.graph.cache.TransitionCache` hands out prepared operators;
 :class:`~repro.core.graph_base.RandomWalkRecommender` consumes them.

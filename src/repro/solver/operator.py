@@ -16,21 +16,37 @@ the query — matrix validation, the float32 copy, cost vectors,
 component-label reachability, LU factors — is computed at most once per
 operator, and the per-query remainder (pin coordinates, reachability
 columns) is memoized in a small plan LRU so a repeated cohort re-derives
-nothing.
+nothing. The memos and counters sit behind one leaf lock, because cached
+operators are shared by every thread that serves their group.
 
-The truncated sweep itself runs as ``Y ← P·X`` through scipy's low-level
-``csr_matvecs`` kernel (the same routine scipy's ``@`` dispatches to), which
-*accumulates* into a caller-owned buffer. That lets the τ-sweep ping-pong
-between two preallocated ``n_nodes × chunk`` buffers instead of allocating a
-fresh dense matrix per sweep, and keeps the float64 results bit-identical to
-the historical ``x = c + P @ x`` formulation (IEEE addition is commutative,
-and CSR mat-mat accumulates each output row in the same nonzero order
+**Bipartite half-sweeps.** An operator built with a ``user_mask`` is a
+bipartite operator: its local order lists users first, then items, and no
+edge joins two nodes of one kind (both checked once, at construction). A
+user row of ``P`` then holds only item columns and an item row only user
+columns, so the item values after τ sweeps need only the user values after
+τ − 1, which need only the item values after τ − 2, and so on down. Every
+ranker reads item rows only, so a bipartite sweep alternates half-sweeps —
+items at τ, users at τ − 1, items at τ − 2, … — and its solves return the
+item rows alone. That halves both the SpMM and the elementwise work, and
+each computed value goes through the same arithmetic in the same order as
+in the full sweep. An operator without a user mask sweeps all its rows each
+step and returns all of them.
+
+The truncated sweep runs one loop over row blocks — the two halves of a
+bipartite operator, or all rows as one block — as ``Y[block] ← P[block]·X``
+through scipy's low-level ``csr_matvecs`` kernel (the same routine scipy's
+``@`` dispatches to). The kernel *accumulates* into a caller-owned buffer,
+and a block is a contiguous ``indptr`` slice passed with the full
+``indices``/``data``, so nothing is copied. Values stay bit-identical to
+the plain ``x = c + P @ x`` formulation (IEEE addition is commutative, and
+CSR mat-mat accumulates each output row in the same nonzero order
 regardless of the number of right-hand sides — so chunking never changes a
 column either).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -84,8 +100,15 @@ class WalkOperator:
         graphs, where component membership *is* reachability); when absent
         it falls back to a reversed-edge Dijkstra per absorbing set, which
         is correct for arbitrary transition patterns.
-    user_mask, node_entropy:
-        Optional per-node structure handed to cost models by
+    user_mask:
+        Optional boolean per node, True at users. It makes the operator
+        bipartite: users must form a prefix of the nodes and no edge may
+        join two nodes of one kind (:class:`GraphError` otherwise). Its
+        sweeps then alternate item and user half-sweeps, and every solve
+        returns the item rows only (rows ``n_users:``). Cost models read it
+        through :meth:`costs_for`.
+    node_entropy:
+        Optional per-node entropy handed to cost models by
         :meth:`costs_for`; required only when a cost model is used.
     dtype:
         Default solve precision: ``"float64"`` (reference) or ``"float32"``
@@ -93,9 +116,12 @@ class WalkOperator:
         asserted in the test suite). Overridable per solve.
     chunk_size:
         Default column budget per multi-RHS chunk; bounds the dense sweep
-        memory at ``2 × n_nodes × chunk_size`` floats.
+        memory at ``n_nodes × chunk_size`` floats for a bipartite operator
+        (its half-sweeps work in place in one buffer) and
+        ``2 × n_nodes × chunk_size`` otherwise.
     validate:
-        Set False only for matrices this library normalized itself.
+        Set False only for matrices this library normalized itself. The
+        bipartite check of a ``user_mask`` operator always runs.
     """
 
     def __init__(self, transition, *, labels: np.ndarray | None = None,
@@ -107,11 +133,13 @@ class WalkOperator:
         self.dtype = check_in_options(dtype, "dtype", SOLVE_DTYPES)
         self.chunk_size = check_positive_int(chunk_size, "chunk_size")
         self.substochastic = bool(substochastic)
+        # A leaf lock: nothing else is ever acquired while it is held.
+        self._lock = threading.Lock()
         self.validations = 0
-        self.solves = 0
-        self.columns_solved = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
+        self.solves = 0  # guarded-by: operator._lock
+        self.columns_solved = 0  # guarded-by: operator._lock
+        self.plan_hits = 0  # guarded-by: operator._lock
+        self.plan_misses = 0  # guarded-by: operator._lock
         if validate:
             self.transition = self._validate(transition)
         else:
@@ -137,23 +165,32 @@ class WalkOperator:
                     f"labels length {labels.shape[0]} != node count {n}"
                 )
         self.labels = labels
-        self.user_mask = (None if user_mask is None
-                          else np.asarray(user_mask, dtype=bool).ravel())
+        self.user_mask = None
+        #: Leading user rows; solves return the rows after them (every row
+        #: of an operator without a user mask).
+        self.n_users = 0
+        # The sweep's row blocks, taken in turn; the last one is returned.
+        self._blocks = ((0, n),)
+        if user_mask is not None:
+            self.user_mask = np.asarray(user_mask, dtype=bool).ravel()
+            self.n_users = self._check_bipartite(self.user_mask)
+            self._blocks = ((0, self.n_users), (self.n_users, n))
         self.node_entropy = (None if node_entropy is None
                              else np.asarray(node_entropy, dtype=np.float64).ravel())
+        # Lazy, idempotent caches: a racing first use builds equal values.
         self._transition32: sp.csr_matrix | None = None
         self._unit_costs: np.ndarray | None = None
         self._cost_memo: tuple | None = None  # (cost_model, costs)
-        self._plans: OrderedDict[tuple, _SolvePlan] = OrderedDict()
+        self._plans: OrderedDict[tuple, _SolvePlan] = OrderedDict()  # guarded-by: operator._lock
         self._plan_cache_size = check_positive_int(plan_cache_size, "plan_cache_size")
-        self._factors: OrderedDict[bytes, object] = OrderedDict()
+        self._factors: OrderedDict[bytes, object] = OrderedDict()  # guarded-by: operator._lock
         self._factor_cache_size = check_positive_int(
             factor_cache_size, "factor_cache_size"
         )
         # Per-set reachability columns, keyed by the set's component labels
         # (labels mode) or the set itself (Dijkstra mode). One n-byte bool
         # column per entry; hits across any cohort containing the set.
-        self._reachable_memo: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._reachable_memo: OrderedDict[bytes, np.ndarray] = OrderedDict()  # guarded-by: operator._lock
         self._reachable_memo_size = 1024
 
     # -- construction-time validation ----------------------------------------
@@ -192,6 +229,35 @@ class WalkOperator:
                 "pass substochastic=True for degree-true halo transitions"
             )
         return p
+
+    def _check_bipartite(self, user_mask: np.ndarray) -> int:
+        """Number of users; GraphError unless users-first and bipartite.
+
+        With users first, bipartiteness is two comparisons over
+        ``indices``: user rows (the ``indices`` prefix up to
+        ``indptr[n_users]``) hold only item columns, item rows only user
+        columns.
+        """
+        p = self.transition
+        n = p.shape[0]
+        if user_mask.shape[0] != n:
+            raise GraphError(
+                f"user_mask length {user_mask.shape[0]} != node count {n}"
+            )
+        n_users = int(np.count_nonzero(user_mask))
+        if not user_mask[:n_users].all():
+            raise GraphError(
+                "user_mask must mark a prefix of the nodes: order the "
+                "operator's nodes users first, then items"
+            )
+        split = p.indptr[n_users]
+        if (p.indices[:split] < n_users).any() or (
+                p.indices[split:] >= n_users).any():
+            raise GraphError(
+                "transition has an edge between two nodes of one kind; a "
+                "user_mask operator needs a bipartite graph"
+            )
+        return n_users
 
     @property
     def n_nodes(self) -> int:
@@ -239,8 +305,9 @@ class WalkOperator:
         """
         if cost_model is None:
             return None
-        if self._cost_memo is not None and self._cost_memo[0] is cost_model:
-            return self._cost_memo[1]
+        memo = self._cost_memo  # one read: another thread may rebind it
+        if memo is not None and memo[0] is cost_model:
+            return memo[1]
         if self.user_mask is None or self.node_entropy is None:
             raise GraphError(
                 "cost models need user_mask and node_entropy; construct the "
@@ -262,32 +329,41 @@ class WalkOperator:
         present in the set — a tiny key space (usually one component per
         query) — and is a label-indexed gather on a miss; without labels
         the key is the set itself and a miss runs a reversed-edge Dijkstra
-        (correct for any transition pattern).
+        (correct for any transition pattern). A miss computes outside the
+        lock; racing misses build equal columns and the last one stays.
         """
-        if self.labels is not None:
-            labels = self.labels
+        labels = self.labels
+        if labels is not None:
             present_labels = np.unique(labels[absorbing])
             key = b"l" + present_labels.tobytes()
-            column = self._reachable_memo.get(key)
-            if column is None:
-                n_labels = int(labels.max()) + 1 if labels.size else 0
-                present = np.zeros(n_labels, dtype=bool)
-                present[present_labels] = True
-                column = present[labels]
         else:
             key = b"d" + absorbing.tobytes()
+        with self._lock:
             column = self._reachable_memo.get(key)
-            if column is None:
-                dist = dijkstra(self.transition.T, indices=absorbing,
-                                unweighted=True, min_only=True)
-                column = np.isfinite(dist)
-        if key in self._reachable_memo:
-            self._reachable_memo.move_to_end(key)
+            if column is not None:
+                self._reachable_memo.move_to_end(key)
+                return column
+        if labels is not None:
+            n_labels = int(labels.max()) + 1 if labels.size else 0
+            present = np.zeros(n_labels, dtype=bool)
+            present[present_labels] = True
+            column = present[labels]
         else:
+            dist = dijkstra(self.transition.T, indices=absorbing,
+                            unweighted=True, min_only=True)
+            column = np.isfinite(dist)
+        with self._lock:
             self._reachable_memo[key] = column
             while len(self._reachable_memo) > self._reachable_memo_size:
                 self._reachable_memo.popitem(last=False)
         return column
+
+    def _reachable_rows(self, sets, start: int) -> np.ndarray:
+        """Rows ``start:`` of :meth:`reachable_columns`."""
+        out = np.empty((self.n_nodes - start, len(sets)), dtype=bool)
+        for column, absorbing in enumerate(sets):
+            out[:, column] = self._reachable_column(absorbing)[start:]
+        return out
 
     def reachable_columns(self, sets: list[np.ndarray]) -> np.ndarray:
         """``(n_nodes, len(sets))`` reachability, one boolean column per set.
@@ -295,13 +371,7 @@ class WalkOperator:
         Columns come from the per-set memo (:meth:`_reachable_column`):
         no sorting, no repeated graph traversal.
         """
-        n = self.n_nodes
-        if not sets:
-            return np.zeros((n, 0), dtype=bool)
-        out = np.empty((n, len(sets)), dtype=bool)
-        for column, absorbing in enumerate(sets):
-            out[:, column] = self._reachable_column(absorbing)
-        return out
+        return self._reachable_rows(sets, 0)
 
     # -- solve plans ----------------------------------------------------------
 
@@ -313,38 +383,60 @@ class WalkOperator:
         if any(a.size == 0 for a in sets):
             raise GraphError("absorbing set is empty")
         key = tuple(a.tobytes() for a in sets)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            self.plan_hits += 1
-            return plan
-        self.plan_misses += 1
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self.plan_hits += 1
+                return plan
+            self.plan_misses += 1
         pin_rows = np.concatenate(sets)
         pin_cols = np.repeat(np.arange(len(sets)), [a.size for a in sets])
         plan = _SolvePlan(sets=sets, pin_rows=pin_rows, pin_cols=pin_cols)
-        self._plans[key] = plan
-        while len(self._plans) > self._plan_cache_size:
-            self._plans.popitem(last=False)
+        with self._lock:
+            self._plans[key] = plan
+            while len(self._plans) > self._plan_cache_size:
+                self._plans.popitem(last=False)
         return plan
 
     # -- truncated sweeps -----------------------------------------------------
 
     @staticmethod
-    def _spmm_into(p: sp.csr_matrix, x: np.ndarray, y: np.ndarray) -> None:
-        """``y ← P @ x`` into the caller's buffer (zero-filled here)."""
+    def _spmm_into(p: sp.csr_matrix, lo: int, hi: int, x: np.ndarray,
+                   y: np.ndarray) -> None:
+        """``y ← P[lo:hi] @ x`` into the caller's buffer (zero-filled here).
+
+        Rows ``lo:hi`` are an ``indptr`` slice over the full
+        ``indices``/``data``: no copy of the matrix.
+        """
         if _csr_matvecs is not None:
             y.fill(0)
-            _csr_matvecs(p.shape[0], p.shape[1], x.shape[1],
-                         p.indptr, p.indices, p.data, x.ravel(), y.ravel())
+            _csr_matvecs(hi - lo, p.shape[1], x.shape[1], p.indptr[lo:hi + 1],
+                         p.indices, p.data, x.ravel(), y.ravel())
         else:  # pragma: no cover - fallback for scipys without the kernel
-            y[:] = p @ x
+            y[:] = p[lo:hi] @ x
+
+    def _buffers(self, width: int, np_dtype) -> tuple[np.ndarray, np.ndarray]:
+        """A fresh ``(x, y)`` sweep pair of ``n_nodes × width`` floats.
+
+        A block reads only the other blocks' rows, so a bipartite sweep
+        writes in place and both names share one buffer; a single block
+        reads its own rows and ping-pongs between two.
+        """
+        x = np.empty((self.n_nodes, width), dtype=np_dtype)
+        return x, (x if len(self._blocks) > 1 else np.empty_like(x))
 
     def _sweep_chunk(self, p: sp.csr_matrix, costs: np.ndarray,
                      n_iterations: int, pin_rows: np.ndarray,
                      pin_cols: np.ndarray, x: np.ndarray,
                      y: np.ndarray,
                      leak_costs: np.ndarray | None = None) -> np.ndarray:
-        """Run the τ-sweep for one chunk through the (x, y) ping-pong pair.
+        """Run the τ-sweep for one chunk; returns the last block's rows.
+
+        Step ``t`` computes one row block from the previous step's values,
+        and the blocks take turns so that step τ computes the last one:
+        with a bipartite operator's halves that is items at τ, users at
+        τ − 1, items at τ − 2, …; with one block every step sweeps all rows.
 
         The first sweep of the classical loop computes ``c + P·0`` — its
         result is just the pinned cost column — so the iteration starts
@@ -357,17 +449,29 @@ class WalkOperator:
         By induction the chunk's result dominates the full-graph truncated
         values entrywise.
         """
+        blocks = self._blocks
         col = costs[:, None]
-        x[:] = col
-        x[pin_rows, pin_cols] = 0
+        leak = None if leak_costs is None else leak_costs[:, None]
+        pins = []
+        for lo, hi in blocks:
+            inside = (pin_rows >= lo) & (pin_rows < hi)
+            pins.append((pin_rows[inside], pin_cols[inside]))
+        turn = (len(blocks) - n_iterations) % len(blocks)
+        lo, hi = blocks[turn]
+        x[lo:hi] = col[lo:hi]
+        x[pins[turn]] = 0
         for step in range(1, n_iterations):
-            self._spmm_into(p, x, y)
-            y += col
-            if leak_costs is not None:
-                y += leak_costs[:, None] * step
-            y[pin_rows, pin_cols] = 0
+            turn = (turn + 1) % len(blocks)
+            lo, hi = blocks[turn]
+            block = y[lo:hi]
+            self._spmm_into(p, lo, hi, x, block)
+            block += col[lo:hi]
+            if leak is not None:
+                block += leak[lo:hi] * step
+            y[pins[turn]] = 0
             x, y = y, x
-        return x
+        lo, hi = blocks[-1]
+        return x[lo:hi]
 
     def solve_multi(self, absorbing_sets: list[np.ndarray],
                     n_iterations: int = 15,
@@ -376,24 +480,29 @@ class WalkOperator:
                     chunk_size: int | None = None) -> np.ndarray:
         """Truncated absorbing values, one column per absorbing set.
 
+        Returns ``(n_nodes - n_users, len(absorbing_sets))``: the item rows
+        of a bipartite operator, every row otherwise.
+
         The cohort is processed in chunks of at most ``chunk_size`` columns;
-        each chunk's τ sweeps ping-pong between two preallocated buffers that
-        are reused across chunks, so peak dense memory is
-        ``2 × n_nodes × chunk_size`` solve-dtype floats plus the float64
-        output — a 10k-user cohort no longer materializes a fresh
-        ``(n_nodes, 10k)`` matrix per sweep.
+        each chunk's τ sweeps run through buffers allocated once per call
+        and reused across its chunks, so peak dense memory is
+        ``n_nodes × chunk_size`` solve-dtype floats for a bipartite operator
+        (``2 × n_nodes × chunk_size`` otherwise) plus the float64 output —
+        a 10k-user cohort no longer materializes a fresh
+        ``(n_nodes, 10k)`` matrix per sweep. No buffer outlives the call,
+        so threads may share the operator.
         """
         n = self.n_nodes
         n_sets = len(absorbing_sets)
         if n_sets == 0:
-            return np.zeros((n, 0))
+            return np.zeros((n - self.n_users, 0))
         n_iterations = check_positive_int(n_iterations, "n_iterations")
         chunk = self.chunk_size if chunk_size is None else check_positive_int(
             chunk_size, "chunk_size"
         )
         costs = self._check_costs(local_costs)
         plan = self._plan(absorbing_sets)
-        reachable = self.reachable_columns(list(plan.sets))
+        reachable = self._reachable_rows(plan.sets, self.n_users)
         dtype = self.dtype if dtype is None else check_in_options(
             dtype, "dtype", SOLVE_DTYPES
         )
@@ -407,30 +516,27 @@ class WalkOperator:
             # shard-local max is the bound proxy for entropy cost models).
             leak_costs = (self._leak * float(costs.max())).astype(np_dtype)
 
-        out = np.empty((n, n_sets))
+        out = np.empty((n - self.n_users, n_sets))
         width = min(chunk, n_sets)
-        x = np.empty((n, width), dtype=np_dtype)
-        y = np.empty((n, width), dtype=np_dtype)
+        x, y = self._buffers(width, np_dtype)
         for lo in range(0, n_sets, width):
             hi = min(lo + width, n_sets)
-            m = hi - lo
             # pin_cols is ascending, so each chunk's pins are one slice.
             plo, phi = np.searchsorted(plan.pin_cols, [lo, hi])
             rows = plan.pin_rows[plo:phi]
             cols = plan.pin_cols[plo:phi] - lo
-            if m == width:
+            if hi - lo == width:
                 xb, yb = x, y
             else:  # final partial chunk: exact-width pair, ravel stays a view
-                xb = np.empty((n, m), dtype=np_dtype)
-                yb = np.empty((n, m), dtype=np_dtype)
-            result = self._sweep_chunk(p, solve_costs, n_iterations,
-                                       rows, cols, xb, yb,
-                                       leak_costs=leak_costs)
-            out[:, lo:hi] = result
+                xb, yb = self._buffers(hi - lo, np_dtype)
+            out[:, lo:hi] = self._sweep_chunk(p, solve_costs, n_iterations,
+                                              rows, cols, xb, yb,
+                                              leak_costs=leak_costs)
+        # Pins were zeroed by the sweep and always reach themselves.
         out[~reachable] = np.inf
-        out[plan.pin_rows, plan.pin_cols] = 0.0
-        self.solves += 1
-        self.columns_solved += n_sets
+        with self._lock:
+            self.solves += 1
+            self.columns_solved += n_sets
         return out
 
     def solve(self, absorbing: np.ndarray, n_iterations: int = 15,
@@ -440,7 +546,7 @@ class WalkOperator:
 
         A cohort of one: bit-identical to the matching
         :meth:`solve_multi` column by the CSR accumulation-order argument in
-        the module docstring.
+        the module docstring, and like it returns rows ``n_users:``.
         """
         return self.solve_multi([np.atleast_1d(np.asarray(absorbing))],
                                 n_iterations, local_costs=local_costs,
@@ -454,7 +560,9 @@ class WalkOperator:
 
         The ``(I − P_TT)`` system depends on the absorbing set, so factors
         are memoized per set in a small LRU — a repeated exact query pays
-        one triangular solve, not a fresh factorization.
+        one triangular solve, not a fresh factorization. The system spans
+        every node; like the truncated solves, the result holds rows
+        ``n_users:`` only.
         """
         n = self.n_nodes
         plan = self._plan([np.atleast_1d(np.asarray(absorbing))])
@@ -466,42 +574,48 @@ class WalkOperator:
         transient_mask = reachable.copy()
         transient_mask[absorbing] = False
         transient = np.flatnonzero(transient_mask)
-        self.solves += 1
-        self.columns_solved += 1
+        with self._lock:
+            self.solves += 1
+            self.columns_solved += 1
         if transient.size == 0:
-            return values
+            return values[self.n_users:]
         key = absorbing.tobytes()
-        factor = self._factors.get(key)
+        with self._lock:
+            factor = self._factors.get(key)
+            if factor is not None:
+                self._factors.move_to_end(key)
         if factor is None:
             q = self.transition[transient][:, transient].tocsc()
             system = (sp.eye(transient.size, format="csc") - q).tocsc()
             factor = spla.splu(system)
-            self._factors[key] = factor
-            while len(self._factors) > self._factor_cache_size:
-                self._factors.popitem(last=False)
-        else:
-            self._factors.move_to_end(key)
+            with self._lock:
+                self._factors[key] = factor
+                while len(self._factors) > self._factor_cache_size:
+                    self._factors.popitem(last=False)
         values[transient] = np.atleast_1d(factor.solve(costs[transient]))
-        return values
+        return values[self.n_users:]
 
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> dict:
-        """Counters for cache/serving reports."""
-        return {
-            "validations": self.validations,
-            "solves": self.solves,
-            "columns_solved": self.columns_solved,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "factors_cached": len(self._factors),
-            "dtype": self.dtype,
-            "chunk_size": self.chunk_size,
-        }
+        """Counters for cache/serving reports (one consistent snapshot)."""
+        with self._lock:
+            return {
+                "validations": self.validations,
+                "solves": self.solves,
+                "columns_solved": self.columns_solved,
+                "plan_hits": self.plan_hits,
+                "plan_misses": self.plan_misses,
+                "factors_cached": len(self._factors),
+                "dtype": self.dtype,
+                "chunk_size": self.chunk_size,
+            }
 
     def __repr__(self) -> str:
+        stats = self.stats()
         return (
             f"WalkOperator(n_nodes={self.n_nodes}, nnz={self.transition.nnz}, "
-            f"dtype={self.dtype!r}, chunk_size={self.chunk_size}, "
-            f"validations={self.validations}, solves={self.solves})"
+            f"n_users={self.n_users}, dtype={self.dtype!r}, "
+            f"chunk_size={self.chunk_size}, "
+            f"validations={stats['validations']}, solves={stats['solves']})"
         )

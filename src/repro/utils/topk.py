@@ -26,9 +26,15 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         raise ConfigError(f"k must be > 0; got {k}")
     k = min(int(k), scores.size)
     clean = np.where(np.isnan(scores), -np.inf, scores)
+    candidates = np.arange(clean.size)
+    if k < clean.size:
+        # Linear-time preselection: every index scoring at least the k-th
+        # largest value, so all ties at that value stay in the running.
+        kth = np.partition(clean, clean.size - k)[clean.size - k]
+        candidates = np.flatnonzero(clean >= kth)
     # lexsort: primary key descending score, secondary ascending index.
-    order = np.lexsort((np.arange(clean.size), -clean))
-    return order[:k]
+    order = np.lexsort((candidates, -clean[candidates]))
+    return candidates[order[:k]]
 
 
 def bottom_k_indices(scores: np.ndarray, k: int) -> np.ndarray:

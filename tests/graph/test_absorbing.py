@@ -31,19 +31,25 @@ def reachability_mask(p, absorbing) -> np.ndarray:
     return np.isfinite(dist)
 
 
-def iteration_history(p, absorbing, n_iterations, local_costs=None):
+def iteration_history(p, absorbing, n_iterations, local_costs=None,
+                      leak_costs=None):
     """Oracle: the τ-sweep as the plain loop ``x ← c + P·x``, ``x[S] = 0``.
 
-    Row ``t`` is the value vector after ``t + 1`` sweeps; unreachable nodes
-    keep their (finite, growing) iterate.
+    Every node, every sweep, in ``p``'s dtype. ``leak_costs`` (a halo's
+    escaped-mass charge) adds ``leak_costs · t`` on sweep ``t``, counted
+    from 0. Row ``t`` is the value vector after ``t + 1`` sweeps;
+    unreachable nodes keep their (finite, growing) iterate.
     """
     n = p.shape[0]
-    costs = np.ones(n) if local_costs is None else np.array(local_costs)
+    costs = (np.ones(n) if local_costs is None
+             else np.array(local_costs)).astype(p.dtype)
     costs[absorbing] = 0.0
-    history = np.empty((n_iterations, n))
-    x = np.zeros(n)
+    history = np.empty((n_iterations, n), dtype=p.dtype)
+    x = np.zeros(n, dtype=p.dtype)
     for t in range(n_iterations):
         x = costs + p @ x
+        if leak_costs is not None:
+            x += leak_costs * t
         x[absorbing] = 0.0
         history[t] = x
     return history

@@ -3,7 +3,7 @@
 The level-synchronous search must reproduce the FIFO queue search node for
 node; :func:`reference_bfs` keeps that queue search as the oracle, and the
 recommenders' per-user rows on the µ-truncated path are checked bit for bit
-against a reference path built from it.
+against a reference path built from it and the plain τ-sweep loop.
 """
 
 from collections import deque
@@ -23,6 +23,7 @@ from repro.graph.cache import TransitionCache
 from repro.graph.subgraph import bfs_subgraph
 from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize
+from test_absorbing import iteration_history, reachability_mask
 
 
 def reference_bfs(graph, seed_items, max_items):
@@ -111,9 +112,26 @@ class TestBfsSubgraph:
         graph = UserItemGraph(fig2)
         sub = bfs_subgraph(graph, np.array([0, 1]), max_items=100)
         dense = graph.adjacency.toarray()
-        for i_local, i_parent in enumerate(sub.nodes):
-            for j_local, j_parent in enumerate(sub.nodes):
+        nodes = sub.by_kind.nodes  # the adjacency's local order
+        for i_local, i_parent in enumerate(nodes):
+            for j_local, j_parent in enumerate(nodes):
                 assert sub.adjacency[i_local, j_local] == dense[i_parent, j_parent]
+
+    @pytest.mark.parametrize("budget", [1, 5, 40])
+    def test_by_kind_is_users_then_items_in_bfs_order(self, medium_synth,
+                                                      budget):
+        graph = UserItemGraph(medium_synth.dataset)
+        sub = bfs_subgraph(graph, medium_synth.dataset.items_of_user(0),
+                           budget)
+        is_user = sub.nodes < graph.n_users
+        np.testing.assert_array_equal(
+            sub.by_kind.nodes,
+            np.concatenate([sub.nodes[is_user], sub.nodes[~is_user]]))
+        np.testing.assert_array_equal(
+            sub.by_kind.to_local(sub.by_kind.nodes),
+            np.arange(sub.n_nodes))
+        np.testing.assert_array_equal(
+            sub.by_kind.sorted_nodes, sub.index.sorted_nodes)
 
     def test_stays_within_component(self, disconnected):
         graph = UserItemGraph(disconnected)
@@ -263,21 +281,22 @@ class TestReachability:
 
 
 def _reference_row(recommender, user):
-    """One user's µ-truncated row through the queue-search subgraph and a
-    label-less operator (reversed-edge Dijkstra reachability)."""
+    """One user's µ-truncated row through the queue-search subgraph, in
+    queue order, and the plain τ-sweep loop over every node (reversed-edge
+    Dijkstra reachability)."""
     graph = recommender.graph
     absorbing = recommender._absorbing_nodes(user)
     seeds = recommender._subgraph_seed_items(user, absorbing)
     nodes, _ = reference_bfs(graph, seeds, recommender.subgraph_size)
     local_index = {int(p): k for k, p in enumerate(nodes)}
-    adjacency = graph.adjacency[nodes][:, nodes].tocsr()
-    operator = WalkOperator(
-        row_normalize(adjacency, allow_zero_rows=True),
-        user_mask=nodes < graph.n_users,
-        node_entropy=recommender._node_entropy_vector(nodes),
-    )
-    values = recommender._solve(
-        operator, np.array([local_index[int(a)] for a in absorbing]))
+    p = row_normalize(graph.adjacency[nodes][:, nodes].tocsr(),
+                      allow_zero_rows=True)
+    model = recommender._cost_model()
+    costs = None if model is None else model.local_costs(
+        p, nodes < graph.n_users, recommender._node_entropy_vector(nodes))
+    local = np.array([local_index[int(a)] for a in absorbing])
+    values = iteration_history(p, local, recommender.n_iterations, costs)[-1]
+    values[~reachability_mask(p, local)] = np.inf
     row = np.full(recommender.dataset.n_items, -np.inf)
     items = np.flatnonzero(nodes >= graph.n_users)
     finite = np.isfinite(values[items])

@@ -11,6 +11,8 @@ admitted, and the HTTP binding maps every typed error to its status code.
 
 import asyncio
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -358,6 +360,37 @@ class TestLifecycle:
             await server.stop()  # no-op, no error
 
         run(scenario())
+
+    def test_sequential_batches_share_one_solve_thread(self, engine):
+        """Every solve runs on the server's one thread, which stop() ends.
+
+        A tiny switch interval widens the window in which a pooled thread
+        has answered but not yet marked itself idle: the loop's default
+        pool then starts a second thread for the next batch.
+        """
+        solved_on = set()
+
+        class Recording(_SlowEngine):
+            def recommend_many(self, users, **kwargs):
+                solved_on.add(threading.current_thread())
+                return self.engine.recommend_many(users, **kwargs)
+
+        async def scenario():
+            async with BatchingServer(Recording(engine, 0.0),
+                                      max_delay_ms=0) as server:
+                for user in range(300):
+                    await server.recommend(user % 60, k=3)
+            return server.report()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.n_batches == 300
+        assert len(solved_on) == 1
+        assert not solved_on.pop().is_alive()
 
     def test_report_before_start_is_all_zero(self, engine):
         report = BatchingServer(engine).report()

@@ -1,5 +1,9 @@
 """WalkOperator: validate once, solve identically, chunk transparently."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -202,3 +206,89 @@ class TestCostMemo:
         operator = WalkOperator(graph.transition_matrix())
         with pytest.raises(GraphError, match="user_mask"):
             operator.costs_for(EntropyCostModel(jump_cost=2.0))
+
+
+class TestBipartite:
+    """A ``user_mask`` operator: users first, no same-kind edge, item rows."""
+
+    @staticmethod
+    def _parts(fig2):
+        graph = UserItemGraph(fig2)
+        return graph, graph.transition_matrix(), (
+            np.arange(graph.n_nodes) < graph.n_users)
+
+    def test_solves_return_the_item_rows_of_the_full_sweep(self, fig2):
+        graph, p, user_mask = self._parts(fig2)
+        bipartite = WalkOperator(p, user_mask=user_mask)
+        full = WalkOperator(p)
+        assert bipartite.n_users == graph.n_users and full.n_users == 0
+        sets = [np.array([0]), np.array([7, 8]), np.array([3, 0, 10])]
+        for tau in (1, 2, 9, 14):
+            np.testing.assert_array_equal(
+                bipartite.solve_multi(sets, tau, chunk_size=2),
+                full.solve_multi(sets, tau)[graph.n_users:])
+        np.testing.assert_array_equal(bipartite.solve(np.array([7]), 5),
+                                      full.solve(np.array([7]), 5)[5:])
+        np.testing.assert_array_equal(bipartite.solve_exact(np.array([7])),
+                                      full.solve_exact(np.array([7]))[5:])
+        assert bipartite.solve_multi([]).shape == (graph.n_items, 0)
+
+    def test_same_kind_edge_rejected(self, fig2):
+        graph, p, user_mask = self._parts(fig2)
+        for a, b in ((0, 1), (graph.n_users, graph.n_users + 1)):
+            adjacency = graph.adjacency.tolil()
+            adjacency[a, b] = adjacency[b, a] = 1.0
+            with pytest.raises(GraphError, match="two nodes of one kind"):
+                WalkOperator(row_normalize(adjacency.tocsr()),
+                             user_mask=user_mask)
+
+    def test_users_must_come_first(self, fig2):
+        _, p, user_mask = self._parts(fig2)
+        with pytest.raises(GraphError, match="users first"):
+            WalkOperator(p, user_mask=user_mask[::-1])
+
+    def test_user_mask_length_checked(self, fig2):
+        _, p, user_mask = self._parts(fig2)
+        with pytest.raises(GraphError, match="user_mask length"):
+            WalkOperator(p, user_mask=user_mask[:-1])
+
+
+class TestThreadSafety:
+    def test_racing_threads_share_one_operator(self, fig2):
+        """Threads solving on one operator (as cached operators are shared)
+        never corrupt its memos or lose a count. A two-entry plan LRU and
+        six sets evict constantly, and a tiny switch interval lets a thread
+        lose the GIL between a memo lookup and its LRU bump."""
+        graph = UserItemGraph(fig2)
+        operator = WalkOperator(graph.transition_matrix(), plan_cache_size=2)
+        errors, counts = [], []
+        deadline = time.monotonic() + 1.5
+
+        def solve_until_deadline(offset):
+            count = 0
+            try:
+                while time.monotonic() < deadline and not errors:
+                    operator.solve(np.array([(count + offset) % 6]),
+                                   n_iterations=1)
+                    count += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            counts.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve_until_deadline,
+                                        args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        stats = operator.stats()
+        assert stats["solves"] == stats["columns_solved"] == sum(counts)
+        assert stats["plan_hits"] + stats["plan_misses"] == sum(counts)

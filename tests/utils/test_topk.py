@@ -69,3 +69,32 @@ class TestRankOf:
         index = data.draw(st.integers(min_value=0, max_value=scores.size - 1))
         full_order = top_k_indices(scores, scores.size)
         assert rank_of(scores, index) == int(np.flatnonzero(full_order == index)[0])
+
+
+def _lexsort_top_k(scores, k):
+    """Oracle: the full lexsort ranking (descending score, then index)."""
+    clean = np.where(np.isnan(scores), -np.inf, scores)
+    return np.lexsort((np.arange(clean.size), -clean))[:k]
+
+
+class TestTopKMatchesFullSort:
+    """The partition preselection returns exactly the full sort's prefix."""
+
+    @given(arrays(np.float64, st.integers(min_value=1, max_value=60),
+                  elements=st.sampled_from(
+                      [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf])
+                  | st.floats(allow_nan=True, allow_infinity=True)),
+           st.integers(min_value=1, max_value=80))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ties_nan_inf_and_signed_zero(self, scores, k):
+        np.testing.assert_array_equal(top_k_indices(scores, k),
+                                      _lexsort_top_k(scores, k))
+
+    @pytest.mark.parametrize("row", [
+        np.full(50, -np.inf), np.full(50, 3.0), np.full(50, np.nan),
+        np.r_[np.zeros(25), -np.zeros(25)],
+    ], ids=["all-neg-inf", "all-equal", "all-nan", "signed-zeros"])
+    @pytest.mark.parametrize("k", [1, 10, 50, 60])
+    def test_degenerate_rows(self, row, k):
+        np.testing.assert_array_equal(top_k_indices(row, k),
+                                      _lexsort_top_k(row, k))
