@@ -132,7 +132,7 @@ def _legacy_score_users(recommender, users):
             entry.transition, absorbing_local, recommender.n_iterations,
             reachable,
         )
-        item_values = values[entry.item_positions, :]
+        item_values = values[entry.operator.n_users:, :]
         finite = np.isfinite(item_values)
         for column, i in enumerate(members):
             keep = finite[:, column]

@@ -86,12 +86,10 @@ class TransitionGroup:
         Connected-component id per local node.
     node_entropy:
         Entropy per local node (user entropy at user nodes, 0 at items).
-    item_positions:
-        Local positions of the item nodes (``flatnonzero(~user_mask)``):
-        the rows the operator's solves return, in order.
     item_indices:
-        Catalogue item index of each entry of ``item_positions``, so of
-        each row a solve returns.
+        Catalogue item index of each item node (the nodes after the user
+        prefix, ``nodes[operator.n_users:]``), so of each row a solve
+        returns.
     operator:
         The prepared :class:`~repro.solver.WalkOperator` over ``transition``
         — validated once at build time; all warm solves go through it.
@@ -102,7 +100,6 @@ class TransitionGroup:
     user_mask: np.ndarray
     labels: np.ndarray
     node_entropy: np.ndarray
-    item_positions: np.ndarray
     item_indices: np.ndarray
     operator: WalkOperator
 
@@ -201,7 +198,6 @@ class TransitionCache:
     def _finish_group(self, nodes: np.ndarray, transition: sp.csr_matrix,
                       labels: np.ndarray) -> TransitionGroup:
         user_mask = nodes < self.graph.n_users
-        item_positions = np.flatnonzero(~user_mask)
         node_entropy = self.node_entropy[nodes]
         # The one place a group matrix is validated: operator construction.
         operator = WalkOperator(
@@ -215,8 +211,7 @@ class TransitionCache:
             user_mask=user_mask,
             labels=labels,
             node_entropy=node_entropy,
-            item_positions=item_positions,
-            item_indices=nodes[item_positions] - self.graph.n_users,
+            item_indices=nodes[operator.n_users:] - self.graph.n_users,
             operator=operator,
         )
 
@@ -355,7 +350,6 @@ class TransitionCache:
                         user_mask=entry.user_mask,
                         labels=entry.labels,
                         node_entropy=entry.node_entropy,
-                        item_positions=entry.item_positions,
                         item_indices=entry.item_indices,
                         operator=entry.operator,
                     )

@@ -14,7 +14,9 @@ domain shrinks from "the fleet" to "one shard":
   :class:`~repro.service.ServingEngine` from the shard's saved artifact
   (:func:`~repro.core.artifacts.load_artifact`, no refitting), sends the
   router's hello and answers the router's RPC vocabulary
-  (:func:`~repro.service.sharding._worker_handle`).
+  (:func:`~repro.service.sharding._worker_handle`). A read spanning
+  several shards sends to all of them at once, so the workers solve on
+  separate cores.
 * **Supervision.** Every request runs under a per-request timeout with a
   fast-path crash detector (the supervisor polls the pipe in 50 ms slices
   and checks ``Process.is_alive()``, so a SIGKILL'd worker is noticed in
@@ -61,6 +63,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import repro.exceptions as _exceptions
 from repro.core.artifacts import peek_artifact
@@ -263,6 +266,15 @@ class ProcessShardFleet(ShardRouter):
     The class adds ``save`` (checkpoint + WAL truncation), ``health``,
     ``restart_shard`` and ``close``.
 
+    A read that spans shards (``recommend_many``, ``serve_cohort`` and so
+    ``warm``, ``stats``, ``clear_caches``, ``health(ping=True)``) sends to
+    all of its shards at once (:meth:`_call_each`): the calling thread
+    runs one shard's RPC and a pool of ``n_shards - 1`` threads, started
+    on first use and stopped by :meth:`close`, runs the others, so the
+    read waits for its slowest worker rather than the sum. Updates and
+    :meth:`save` stay one shard at a time: their per-shard order carries
+    the validate-before-apply and checkpoint-before-truncate contracts.
+
     Parameters
     ----------
     plan:
@@ -358,6 +370,10 @@ class ProcessShardFleet(ShardRouter):
         os.makedirs(self.wal_dir, exist_ok=True)
         self._ctx = multiprocessing.get_context(start_method)
         self._closed = False
+        # Runs every call of a fan-out but the first (_call_each); a
+        # 1-shard fleet never fans out, so its pool never starts a thread.
+        self._pool = ThreadPoolExecutor(max_workers=max(plan.n_shards - 1, 1),
+                                        thread_name_prefix="repro-fanout")
         self._workers = [_ShardWorker(shard, artifact_paths[shard],
                                       checkpoint_seq=checkpoint_seqs[shard])
                          for shard in range(plan.n_shards)]
@@ -534,6 +550,7 @@ class ProcessShardFleet(ShardRouter):
                 self._cleanup_locked(worker)
                 worker.state = "down"
                 worker.down_reason = "fleet closed"
+        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "ProcessShardFleet":
         return self
@@ -601,6 +618,50 @@ class ProcessShardFleet(ShardRouter):
                 return self._apply_locked(worker, payload)
             return self._request_locked(worker, method, payload,
                                         retryable=True)
+
+    def _call_each(self, calls) -> list:
+        """Every call at once: this thread runs the first, the fan-out pool
+        the rest, so a read spanning shards waits for its slowest shard.
+
+        Each call goes through :meth:`_call`, so crash and hang detection,
+        restart with WAL replay and read retries are per shard as before,
+        and each thread holds only its own shard's ``worker.lock``; this
+        thread holds none while it waits. Results come back in call
+        order, a down shard's
+        :class:`~repro.exceptions.ShardUnavailableError` in its place; any
+        other exception is raised once every call has returned (the
+        earliest call's, when several fail).
+        """
+        if len(calls) < 2:
+            return super()._call_each(calls)
+        pending = [self._submit(call) for call in calls[1:]]
+        outcomes = [self._outcome(calls[0])]
+        outcomes += [future.result() for future in pending]
+        results, error = [], None
+        for result, exc in outcomes:
+            if isinstance(exc, ShardUnavailableError):
+                result = exc
+            elif exc is not None and error is None:
+                error = exc
+            results.append(result)
+        if error is not None:
+            raise error
+        return results
+
+    def _outcome(self, call) -> tuple:
+        """``(result, None)`` or ``(None, exception)`` for one call."""
+        try:
+            return self._call(*call), None
+        except BaseException as exc:  # raised by _call_each once all return
+            return None, exc
+
+    def _submit(self, call) -> Future:
+        try:
+            return self._pool.submit(self._outcome, call)
+        except RuntimeError:  # close() shut the pool down: run it here
+            future = Future()
+            future.set_result(self._outcome(call))
+            return future
 
     def _shard_version(self, shard: int) -> int:
         worker = self._workers[shard]
@@ -925,13 +986,9 @@ class ProcessShardFleet(ShardRouter):
         a crashed worker is restarted (or marked down) on the spot.
         """
         if ping:
-            for shard in range(self.n_shards):
-                if self._workers[shard].state != "up":
-                    continue
-                try:
-                    self._call(shard, "ping", {})
-                except ShardUnavailableError:
-                    pass
+            self._call_each([(worker.shard, "ping", {})
+                             for worker in self._workers
+                             if worker.state == "up"])
         status = "ok"
         shards = []
         for worker in self._workers:

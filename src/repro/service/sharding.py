@@ -1175,6 +1175,10 @@ class ShardRouter:
     :meth:`_shard_ratings` read per-shard state. :class:`ShardedEngine`
     answers in process;
     :class:`~repro.service.fleet.ProcessShardFleet` over worker pipes.
+    A read that spans shards (``recommend_many``, ``serve_cohort``,
+    ``stats``, ``clear_caches``) goes through :meth:`_call_each`, which
+    runs its calls one after another here and all at once in the process
+    fleet; updates and checkpoints stay one shard at a time.
 
     **Lock ordering:** ``_update_lock → per-shard lock → _routing_lock``,
     with the row-cache ``_lock`` below all three; never acquire outward
@@ -1184,10 +1188,13 @@ class ShardRouter:
     fleet's ``worker.lock`` orders RPCs on one pipe, and the in-process
     fleet's ``shard.lock`` keeps an update from landing on a
     :class:`ServingEngine` while a reader is solving on it (an engine is
-    not safe against concurrent ``apply_updates``). ``_routing_lock``
-    guards the routing tables: readers take it
-    to snapshot a consistent view, :meth:`_absorb_new_labels` takes it to
-    grow them, and nothing slow (RPC, fsync, solve) ever runs under it.
+    not safe against concurrent ``apply_updates``). A thread holds at
+    most one per-shard lock: a fan-out runs each call on its own thread,
+    which holds only that call's shard lock, and the thread waiting for
+    the fan-out holds none. ``_routing_lock`` guards the routing tables:
+    readers take it to snapshot a consistent view,
+    :meth:`_absorb_new_labels` takes it to grow them, and nothing slow
+    (RPC, fsync, solve) ever runs under it.
     """
 
     def __init__(self, plan: ShardPlan, hellos,
@@ -1309,6 +1316,25 @@ class ShardRouter:
         new labels (:meth:`_absorb_new_labels`) before it returns.
         """
         raise NotImplementedError
+
+    def _call_each(self, calls) -> list:
+        """Run ``(shard, method, payload)`` calls, one result per call in
+        call order.
+
+        A down shard's result is its
+        :class:`~repro.exceptions.ShardUnavailableError` *instance*; any
+        other exception propagates. This form runs the calls one after
+        another: in-process shards solve under one interpreter lock, so
+        threads would only add switching.
+        :class:`~repro.service.fleet.ProcessShardFleet` runs them at once.
+        """
+        results = []
+        for shard, method, payload in calls:
+            try:
+                results.append(self._call(shard, method, payload))
+            except ShardUnavailableError as exc:
+                results.append(exc)
+        return results
 
     def _shard_version(self, shard: int) -> int:
         """The shard's model version now (gates row-cache inserts)."""
@@ -1500,23 +1526,23 @@ class ShardRouter:
                 positions.append(position)
                 local_users.append(int(self._user_local[user]))
                 local_bans.append(banned)
-        answered = []
-        for shard, (positions, local_users, local_bans) in by_shard.items():
-            try:
-                ranked_lists = self._call(shard, "recommend_many", {
-                    "users": local_users,
-                    "k": k,
-                    "exclude_rated": bool(exclude_rated),
-                    "excludes": local_bans,
-                })
-            except ShardUnavailableError as exc:
-                for position in positions:
-                    out[position] = exc
-                continue
-            answered.append((shard, positions, ranked_lists))
+        groups = sorted(by_shard.items())
+        results = self._call_each([
+            (shard, "recommend_many", {
+                "users": local_users,
+                "k": k,
+                "exclude_rated": bool(exclude_rated),
+                "excludes": local_bans,
+            })
+            for shard, (_, local_users, local_bans) in groups
+        ])
         with self._routing_lock:
             item_global = list(self._item_global)
-        for shard, positions, ranked_lists in answered:
+        for (shard, (positions, _, _)), ranked_lists in zip(groups, results):
+            if isinstance(ranked_lists, ShardUnavailableError):
+                for position in positions:
+                    out[position] = ranked_lists
+                continue
             lookup = item_global[shard]
             for position, ranked in zip(positions, ranked_lists):
                 out[position] = [
@@ -1568,17 +1594,21 @@ class ShardRouter:
                 with self._routing_lock:
                     shard_of = self._user_shard[miss_users]
                     local = self._user_local[miss_users]
-                answered = []
-                for shard in np.unique(shard_of):
-                    shard = int(shard)
-                    rows_of_shard = np.flatnonzero(shard_of == shard)
-                    result = self._call(shard, "serve_cohort", {
+                shards = [int(shard) for shard in np.unique(shard_of)]
+                rows_of = [np.flatnonzero(shard_of == shard)
+                           for shard in shards]
+                results = self._call_each([
+                    (shard, "serve_cohort", {
                         "users": local[rows_of_shard],
                         "k": k,
                         "batch_size": batch_size,
                         "exclude_rated": exclude_rated,
                     })
-                    answered.append((shard, rows_of_shard, result))
+                    for shard, rows_of_shard in zip(shards, rows_of)
+                ])
+                for shard, result in zip(shards, results):
+                    if isinstance(result, ShardUnavailableError):
+                        raise result
                     report.per_shard.append((shard, result["report"]))
                 # After the calls, so these (append-only) arrays cover every
                 # global id the replies can reference.
@@ -1587,7 +1617,8 @@ class ShardRouter:
                     item_labels = self._item_labels
                 items = np.full((positions.size, k), -1, dtype=np.int64)
                 scores = np.full((positions.size, k), -np.inf)
-                for shard, rows_of_shard, result in answered:
+                for shard, rows_of_shard, result in zip(shards, rows_of,
+                                                        results):
                     lookup = item_global[shard]
                     shard_items = result["items"]
                     valid = shard_items >= 0
@@ -1917,11 +1948,8 @@ class ShardRouter:
             self._rows.clear()
             self.row_cache_hits = 0
             self.row_cache_misses = 0
-        for shard in range(self.n_shards):
-            try:
-                self._call(shard, "clear_caches", {})
-            except ShardUnavailableError:
-                continue
+        self._call_each([(shard, "clear_caches", {})
+                         for shard in range(self.n_shards)])
 
     def stats(self) -> dict:
         """Fleet shape and row-cache counters plus each shard's own stats
@@ -1935,14 +1963,14 @@ class ShardRouter:
                 "row_hits": self.row_cache_hits,
                 "row_misses": self.row_cache_misses,
             }
-        shards = []
-        for shard in range(self.n_shards):
-            try:
-                shard_stats = self._call(shard, "stats", {})
-            except ShardUnavailableError:
-                shard_stats = {"state": "down"}
-            shards.append({"shard": shard, **shard_stats})
-        fleet["shards"] = shards
+        results = self._call_each([(shard, "stats", {})
+                                   for shard in range(self.n_shards)])
+        fleet["shards"] = [
+            {"shard": shard, "state": "down"}
+            if isinstance(shard_stats, ShardUnavailableError)
+            else {"shard": shard, **shard_stats}
+            for shard, shard_stats in enumerate(results)
+        ]
         return fleet
 
 

@@ -18,6 +18,8 @@ import asyncio
 import json
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +47,21 @@ def artifacts_dir(federated, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def two_shards(federated, tmp_path_factory):
+    """A 2-shard artifact directory, its in-process fleet, and users that
+    span both shards."""
+    plan = ShardPlan.build(federated, 2)
+    sharded = ShardedEngine.fit(federated, AbsorbingTimeRecommender,
+                                plan=plan)
+    path = str(tmp_path_factory.mktemp("two-shard-artifacts"))
+    sharded.save(path)
+    reference = ShardedEngine.from_directory(path)
+    users = list(range(0, federated.n_users, 3))
+    assert {reference.shard_of_user(user) for user in users} == {0, 1}
+    return path, reference, users
+
+
 def _boot(artifacts_dir, wal_dir, **kwargs):
     return ProcessShardFleet.from_directory(artifacts_dir,
                                             wal_dir=str(wal_dir), **kwargs)
@@ -54,6 +71,11 @@ def _topk(fleet, users, k=10):
     return {user: [(r.item, r.label, r.score)
                    for r in fleet.recommend(user, k=k)]
             for user in users}
+
+
+def _triples(ranked_lists):
+    return [[(r.item, r.label, r.score) for r in ranked]
+            for ranked in ranked_lists]
 
 
 class TestFaultSpecValidation:
@@ -306,3 +328,78 @@ class TestDegradedServing:
                 fleet.apply_updates(events, duplicates="last")
             # Nothing was WAL-logged for a batch that never started.
             assert fleet._wal_read(down_shard) == []
+
+
+class TestConcurrentFanOut:
+    """A read spanning shards goes to all of them at once: on a 2-shard
+    fleet the calling thread runs shard 0's RPC and the one pool thread
+    shard 1's, each with its own crash and hang recovery."""
+
+    def test_spanning_read_waits_for_slowest_shard_not_the_sum(
+            self, two_shards, tmp_path):
+        path, reference, users = two_shards
+        hang = FaultSpec(hang_at_request=1, hang_seconds=0.4)
+        with _boot(path, tmp_path / "wal", faults={0: hang, 1: hang},
+                   request_timeout_s=5) as fleet:
+            began = time.perf_counter()
+            served = fleet.recommend_many(users, k=5)
+            elapsed = time.perf_counter() - began
+        assert _triples(served) == _triples(reference.recommend_many(users,
+                                                                     k=5))
+        # Both workers sleep 0.4 s; one shard after the other takes >= 0.8 s.
+        assert elapsed < 0.7
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_crash_on_one_shard_is_retried_and_serves_every_position(
+            self, two_shards, tmp_path, shard):
+        path, reference, users = two_shards
+        faults = {shard: FaultSpec(kill_at_request=1)}
+        with _boot(path, tmp_path / "wal", faults=faults) as fleet:
+            served = fleet.recommend_many(users, k=5)
+            health = fleet.health()
+        assert _triples(served) == _triples(reference.recommend_many(users,
+                                                                     k=5))
+        assert health["status"] == "ok"
+        assert [row["restarts"] for row in health["shards"]] \
+            == [int(s == shard) for s in range(2)]
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_hang_on_one_shard_is_retried_other_shard_unaffected(
+            self, two_shards, tmp_path, shard):
+        path, reference, users = two_shards
+        other = 1 - shard
+        faults = {shard: FaultSpec(hang_at_request=1, hang_seconds=10.0)}
+        with _boot(path, tmp_path / "wal", faults=faults,
+                   request_timeout_s=0.5) as fleet:
+            other_pid = fleet.worker_pid(other)
+            served = fleet.recommend_many(users, k=5)
+            health = fleet.health()
+            assert fleet.worker_pid(other) == other_pid
+        assert _triples(served) == _triples(reference.recommend_many(users,
+                                                                     k=5))
+        assert health["shards"][shard]["restarts"] == 1
+        assert health["shards"][other]["restarts"] == 0
+
+    def test_close_stops_the_pool_threads(self, two_shards, tmp_path):
+        path, _, users = two_shards
+        before = set(threading.enumerate())
+
+        def pool_threads():
+            return [thread for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith("repro-fanout")]
+
+        fleet = _boot(path, tmp_path / "wal")
+        try:
+            assert pool_threads() == []  # started on first use, not boot
+            fleet.recommend_many(users, k=5)
+            started = pool_threads()
+            assert len(started) == 1  # n_shards - 1
+        finally:
+            fleet.close()
+        assert not any(thread.is_alive() for thread in started)
+        # A read after close() finds the pool shut down and every shard
+        # down: typed per-position errors, no new thread.
+        assert all(isinstance(result, ShardUnavailableError)
+                   for result in fleet.recommend_many(users, k=5))
+        assert not any(thread.is_alive() for thread in pool_threads())

@@ -215,6 +215,6 @@ class TestWarmCacheRetentionParity:
         graph = recommender.graph
         for entry in cache._groups.values():
             # Remapped parent nodes must address real item indices again.
-            items = entry.nodes[entry.item_positions] - graph.n_users
+            items = entry.nodes[entry.operator.n_users:] - graph.n_users
             np.testing.assert_array_equal(items, entry.item_indices)
             assert entry.nodes.max() < graph.n_nodes
