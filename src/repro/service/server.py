@@ -246,7 +246,9 @@ class BatchingServer:
         request of a batch arrives. ``0`` drains only what is already
         queued. This is the knob trading tail latency (each request can
         wait up to one delay window) for throughput (bigger cohorts per
-        solve).
+        solve). A lone request waits the whole window: the loop cannot
+        know that no straggler will come, so it solves a batch of one
+        only once the window has passed.
     max_queue:
         Bound on pending admitted requests. Arrivals beyond it are shed at
         admission with :class:`~repro.exceptions.OverloadedError` — load
@@ -571,8 +573,12 @@ class HttpFrontend:
     fleet; the payload names the down shard),
     :class:`~repro.exceptions.DeadlineExceededError` → 504, anything
     else → 500. Connections are keep-alive unless the client sends
-    ``Connection: close``. Deliberately stdlib-only: the transport is a
-    demo/bench binding, the batching core is the product.
+    ``Connection: close``, or a request declares a body
+    (``Content-Length`` other than 0, or any ``Transfer-Encoding``): no
+    request body is read, so that request is answered with
+    ``Connection: close`` and the connection is closed. Deliberately
+    stdlib-only: the transport is a demo/bench binding, the batching core
+    is the product.
     """
 
     def __init__(self, server: BatchingServer, host: str = "127.0.0.1",
@@ -639,6 +645,11 @@ class HttpFrontend:
                         name, value = line.split(":", 1)
                         headers[name.strip().lower()] = value.strip()
                 close = headers.get("connection", "").lower() == "close"
+                # A body is never read, so the next request could not be
+                # told from it: answer this one, then drop the connection.
+                if ("transfer-encoding" in headers
+                        or headers.get("content-length", "0") != "0"):
+                    close = True
                 if method.upper() != "GET":
                     await self._respond(writer, 405, {
                         "error": f"method {method} not allowed; use GET"},

@@ -20,7 +20,10 @@ request-independent structure of the solve:
   same-kind edge — checked at construction): its sweep alternates item and
   user half-sweeps in place in one ``n_nodes × chunk_size`` buffer and its
   solves return the item rows only. Without a mask the sweep covers every
-  row, ping-ponging between two such buffers;
+  row, ping-ponging between two such buffers. A one-column sweep (a lone
+  query) runs on scipy's single-vector ``csr_matvec``, as ``P @ x`` does,
+  and a wider one on ``csr_matvecs``; both accumulate each row in its
+  nonzero order, so the kernel never changes a score;
 * an LRU of ``splu`` factorizations (one per absorbing set) for the exact
   mode;
 * a leaf lock over those memos and the counters, since cached operators

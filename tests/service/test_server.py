@@ -213,18 +213,25 @@ class TestCoalescing:
         assert report.batch_sizes == {1: 10}
         assert report.n_batches == 10
 
-    def test_sequential_requests_never_wait_for_ghosts(self, engine):
-        # With an empty queue each lone request is its own batch of one —
-        # max_delay only ever delays when a batch is actually forming.
+    def test_each_lone_request_is_a_batch_of_one(self, engine):
+        # With an empty queue each lone request is its own batch of one,
+        # and it waits the whole straggler window first: the loop cannot
+        # know that no straggler will come.
+        max_delay_ms = 50.0
+
         async def scenario():
             async with BatchingServer(engine, max_batch_size=32,
-                                      max_delay_ms=50.0) as server:
+                                      max_delay_ms=max_delay_ms) as server:
+                waits = []
                 for user in range(4):
+                    start = time.perf_counter()
                     await server.recommend(user, k=3)
-                return server.report()
+                    waits.append(1000.0 * (time.perf_counter() - start))
+                return server.report(), waits
 
-        report = run(scenario())
+        report, waits = run(scenario())
         assert report.batch_sizes == {1: 4}
+        assert min(waits) >= 0.9 * max_delay_ms, waits
 
 
 class TestBackpressure:
@@ -555,6 +562,35 @@ class TestHttpFrontend:
         statuses, report = run(scenario())
         assert statuses == [200, 200, 200]
         assert report.n_completed == 3
+
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: 5\r\n\r\nhello",
+        b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+    ])
+    def test_request_body_closes_the_connection(self, engine, framing):
+        # No body is read, so a request that declares one is answered with
+        # Connection: close, and its body never reaches the next request.
+        async def scenario():
+            async with BatchingServer(engine) as server:
+                async with HttpFrontend(server, port=0) as front:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", front.port)
+                    writer.write(b"POST /recommend?user=1 HTTP/1.1\r\n"
+                                 b"Host: t\r\n" + framing +
+                                 b"GET /recommend?user=1&k=3 HTTP/1.1\r\n"
+                                 b"Host: t\r\n\r\n")
+                    await writer.drain()
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    assert b"Connection: close" in head
+                    rest = await asyncio.wait_for(reader.read(), 10)
+                    writer.close()
+                    return head, rest
+
+        head, rest = run(scenario())
+        assert int(head.split()[1]) == 405
+        # The body ends the stream: the pipelined GET is never answered.
+        assert json.loads(rest) == {
+            "error": "method POST not allowed; use GET"}
 
     def test_overload_maps_to_429(self, engine):
         async def scenario():

@@ -7,10 +7,14 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
+import repro.solver.operator as operator_module
 from repro.exceptions import ConfigError, GraphError
 from repro.graph.bipartite import UserItemGraph
-from repro.solver import WalkOperator
+from repro.solver import SOLVE_DTYPES, WalkOperator
 from repro.utils.sparse import row_normalize
 
 
@@ -251,6 +255,83 @@ class TestBipartite:
         _, p, user_mask = self._parts(fig2)
         with pytest.raises(GraphError, match="user_mask length"):
             WalkOperator(p, user_mask=user_mask[:-1])
+
+
+class TestKernelEntry:
+    """``_csr_matvecs``: one column on ``csr_matvec``, wider on
+    ``csr_matvecs``, the same bits either way."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 12),
+           n_cols=st.integers(1, 12), density=st.floats(0.0, 3.0),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           index_dtype=st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_one_column_matches_csr_matvecs_bit_for_bit(
+            self, seed, n_rows, n_cols, density, dtype, index_dtype):
+        rng = np.random.default_rng(seed)
+        # Rows of 0 to ~2·density·n_cols entries: empty rows, repeated
+        # column indices within a row, and explicit zeros.
+        counts = rng.integers(0, int(2 * density * n_cols) + 1, n_rows)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index_dtype)
+        indices = rng.integers(0, n_cols, indptr[-1]).astype(index_dtype)
+        data = rng.standard_normal(indptr[-1]).astype(dtype)
+        data[rng.random(indptr[-1]) < 0.2] = 0
+        x = rng.standard_normal(n_cols).astype(dtype)
+        # A half-sweep passes an indptr slice over the full indices/data.
+        lo = int(rng.integers(0, n_rows + 1))
+        hi = int(rng.integers(lo, n_rows + 1))
+        y0 = rng.standard_normal(hi - lo).astype(dtype)  # it accumulates
+        got, expected = y0.copy(), y0.copy()
+        operator_module._csr_matvecs(hi - lo, n_cols, 1, indptr[lo:hi + 1],
+                                     indices, data, x, got)
+        csr_matvecs(hi - lo, n_cols, 1, indptr[lo:hi + 1], indices, data,
+                    x, expected)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.fixture()
+    def kernel_calls(self, monkeypatch):
+        """``(routine, columns)`` of every scipy kernel call the sweeps make."""
+        calls = []
+
+        def matvec(*args):
+            calls.append(("csr_matvec", 1))
+            csr_matvec(*args)
+
+        def matvecs(*args):
+            calls.append(("csr_matvecs", args[2]))
+            csr_matvecs(*args)
+
+        monkeypatch.setattr(operator_module, "csr_matvec", matvec,
+                            raising=False)
+        monkeypatch.setattr(operator_module, "csr_matvecs", matvecs,
+                            raising=False)
+        return calls
+
+    @pytest.mark.parametrize("dtype", SOLVE_DTYPES)
+    @pytest.mark.parametrize("bipartite", [True, False])
+    def test_one_column_sweeps_take_the_single_vector_kernel(
+            self, fig2, kernel_calls, dtype, bipartite):
+        graph = UserItemGraph(fig2)
+        user_mask = np.arange(graph.n_nodes) < graph.n_users
+        operator = WalkOperator(graph.transition_matrix(),
+                                user_mask=user_mask if bipartite else None,
+                                dtype=dtype)
+        sets = [np.array([0]), np.array([7, 8]), np.array([3, 0, 10]),
+                np.array([2])]
+        tau = 9
+        sweep = tau - 1  # kernel calls per chunk: the first sweep is c
+        whole = operator.solve_multi(sets, tau)
+        assert kernel_calls == [("csr_matvecs", 4)] * sweep
+        del kernel_calls[:]
+        np.testing.assert_array_equal(operator.solve(sets[3], tau),
+                                      whole[:, 3])
+        np.testing.assert_array_equal(operator.solve_multi(sets[:1], tau),
+                                      whole[:, :1])
+        # A 4-set cohort at chunk_size=3 ends on a one-column chunk.
+        np.testing.assert_array_equal(
+            operator.solve_multi(sets, tau, chunk_size=3), whole)
+        one = [("csr_matvec", 1)] * sweep
+        assert kernel_calls == one + one + [("csr_matvecs", 3)] * sweep + one
 
 
 class TestThreadSafety:
