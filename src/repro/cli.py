@@ -507,52 +507,62 @@ def _fleet_name(args) -> str:
     return peek_artifact(os.path.join(args.shards, "shard-000.npz"))["name"]
 
 
-def _serve(args) -> int:
-    if not _require_one_source(args, "serve"):
-        return 2
-    if args.shards is not None and args.fleet_procs:
-        print(f"Loading sharded artifacts {args.shards} "
-              "(multi-process fleet) ...", flush=True)
-        with Timer() as load_timer:
-            engine = _boot_fleet(args)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        if args.dtype is not None:
-            print("   note: --dtype is ignored for --fleet-procs; workers "
-                  "boot with the artifact's saved precision policy")
-        name = _fleet_name(args)
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} worker process(es), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(booted in {load_timer.elapsed:.2f}s, no refit)")
-    elif args.shards is not None:
-        print(f"Loading sharded artifacts {args.shards} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(args.shards,
-                                                  mmap=args.mmap)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        if args.dtype is not None:
-            for shard_engine in engine.engines:
-                shard_engine.recommender.set_serving_dtype(args.dtype)
-        name = engine.engines[0].recommender.name
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} shard(s), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
-    else:
+def _boot_serving(args) -> tuple:
+    """Boot what ``serve`` and ``serve-http`` answer from.
+
+    A process fleet (``--shards`` with ``--fleet-procs``), in-process
+    shards (``--shards``) or one artifact; returns ``(engine, name,
+    n_users)``. Only ``serve`` takes ``--dtype``.
+    """
+    dtype = getattr(args, "dtype", None)
+    if args.shards is None:
         print(f"Loading artifact {args.artifact} ...", flush=True)
         with Timer() as load_timer:
             engine = ServingEngine.from_artifact(
                 args.artifact, store_path=args.store, mmap=args.mmap,
             )
-        if args.dtype is not None:
-            engine.recommender.set_serving_dtype(args.dtype)
+        if dtype is not None:
+            engine.recommender.set_serving_dtype(dtype)
         name = engine.recommender.name
-        n_users_total = engine.dataset.n_users
+        policy = (f", dtype {engine.recommender.serving_dtype}"
+                  if hasattr(args, "dtype") else "")
         print(f"   {name} over {engine.dataset} "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit, "
-              f"dtype {engine.recommender.serving_dtype})")
+              f"(loaded in {load_timer.elapsed:.2f}s, no refit{policy})")
+        return engine, name, engine.dataset.n_users
+    mode = " (multi-process fleet)" if args.fleet_procs else ""
+    print(f"Loading sharded artifacts {args.shards}{mode} ...", flush=True)
+    with Timer() as load_timer:
+        if args.fleet_procs:
+            engine = _boot_fleet(args)
+        else:
+            engine = ShardedEngine.from_directory(args.shards,
+                                                  mmap=args.mmap)
+    if args.store:
+        print("   note: --store is ignored for sharded serving")
+    if args.fleet_procs:
+        if dtype is not None:
+            print("   note: --dtype is ignored for --fleet-procs; workers "
+                  "boot with the artifact's saved precision policy")
+        name = _fleet_name(args)
+        shards = f"{engine.n_shards} worker process(es)"
+        booted = "booted"
+    else:
+        if dtype is not None:
+            for shard_engine in engine.engines:
+                shard_engine.recommender.set_serving_dtype(dtype)
+        name = engine.engines[0].recommender.name
+        shards = f"{engine.n_shards} shard(s)"
+        booted = "loaded"
+    print(f"   {name} fleet: {shards}, "
+          f"{engine.n_users} users × {engine.n_items} items "
+          f"({booted} in {load_timer.elapsed:.2f}s, no refit)")
+    return engine, name, engine.n_users
+
+
+def _serve(args) -> int:
+    if not _require_one_source(args, "serve"):
+        return 2
+    engine, name, n_users_total = _boot_serving(args)
 
     if args.users_file is not None:
         users = load_user_file(args.users_file, n_users_total)
@@ -628,40 +638,7 @@ async def _http_self_test(engine, host: str, port: int, n: int, k: int,
 def _serve_http(args) -> int:
     if not _require_one_source(args, "serve-http"):
         return 2
-    if args.shards is not None and args.fleet_procs:
-        print(f"Loading sharded artifacts {args.shards} "
-              "(multi-process fleet) ...", flush=True)
-        with Timer() as load_timer:
-            engine = _boot_fleet(args)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        name = _fleet_name(args)
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} worker process(es), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(booted in {load_timer.elapsed:.2f}s, no refit)")
-    elif args.shards is not None:
-        print(f"Loading sharded artifacts {args.shards} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ShardedEngine.from_directory(args.shards,
-                                                  mmap=args.mmap)
-        if args.store:
-            print("   note: --store is ignored for sharded serving")
-        name = engine.engines[0].recommender.name
-        n_users_total = engine.n_users
-        print(f"   {name} fleet: {engine.n_shards} shard(s), "
-              f"{engine.n_users} users × {engine.n_items} items "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
-    else:
-        print(f"Loading artifact {args.artifact} ...", flush=True)
-        with Timer() as load_timer:
-            engine = ServingEngine.from_artifact(
-                args.artifact, store_path=args.store, mmap=args.mmap,
-            )
-        name = engine.recommender.name
-        n_users_total = engine.dataset.n_users
-        print(f"   {name} over {engine.dataset} "
-              f"(loaded in {load_timer.elapsed:.2f}s, no refit)")
+    engine, name, n_users_total = _boot_serving(args)
 
     async def _run() -> int:
         server = BatchingServer(

@@ -245,7 +245,7 @@ def federated_dataset(n_tenants: int, scale: float = 1.0, seed=0,
     Each tenant is an independent :func:`generate_dataset` draw (seeded
     ``seed + tenant``) of ``base`` (default: a movielens-density block of
     ``400 × scale`` users by ``300 × scale`` items — the federated workload
-    ``benchmarks/bench_incremental.py`` and ``bench_sharded.py`` share);
+    of ``tests/service/test_serving_floors.py``'s fleet and update floors);
     labels are prefixed ``t{tenant}:`` and the rating matrix is
     block-diagonal. A custom ``base`` is the scale-1.0 template: ``scale``
     applies to it the same way it applies to the default block.

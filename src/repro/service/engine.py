@@ -454,7 +454,7 @@ class ServingEngine:
 
     def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
                   exclude=None) -> list[Recommendation]:
-        """Top-``k`` for one user, served as warm as possible.
+        """Top-``k`` for one user: a one-request :meth:`recommend_many`.
 
         Resolution order: attached :class:`TopKStore` (when deep enough for
         ``k`` plus the exclusions and built with the same ``exclude_rated``
@@ -463,27 +463,7 @@ class ServingEngine:
         the store does: banned items are dropped and next-ranked ones take
         their place.
         """
-        dataset = self.dataset
-        dataset._check_user(user)
-        k = check_positive_int(k, "k")
-        banned = as_exclude_array(exclude)
-        if (self.store is not None
-                and exclude_rated == self.store_exclude_rated
-                and self.store.depth >= k + banned.size):
-            return self.store.recommend(user, k, exclude=banned)
-        items, scores = self._cached_arrays(
-            np.array([user], dtype=np.int64), k + banned.size, exclude_rated,
-            timings={},
-        )
-        row_items, row_scores = items[0], scores[0]
-        keep = row_items >= 0
-        if banned.size:
-            keep &= ~np.isin(row_items, banned)
-        row_items, row_scores = row_items[keep][:k], row_scores[keep][:k]
-        return [
-            Recommendation(int(i), self._labels[int(i)], float(s))
-            for i, s in zip(row_items, row_scores)
-        ]
+        return self.recommend_many([user], k, exclude_rated, [exclude])[0]
 
     def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
                        excludes=None) -> list[list[Recommendation]]:
@@ -496,14 +476,13 @@ class ServingEngine:
         parallel sequence of per-request exclusion sets. Responses are
         **bit-identical** to calling :meth:`recommend` once per request
         (asserted in the test suite): store-eligible requests go to the
-        attached :class:`TopKStore` exactly as :meth:`recommend` routes
-        them, and the rest are grouped by effective list depth
-        (``k + len(exclude)``) so each group is one
+        attached :class:`TopKStore`, and the rest are grouped by effective
+        list depth (``k + len(exclude)``) so each group is one
         :meth:`_cached_arrays` call — the same call, with the same
-        arguments, that :meth:`recommend` would make per user, but with
-        the uncached users of the whole group answered in a single
-        multi-RHS solve (in-group duplicates deduplicated by the result
-        cache's lookup pass).
+        arguments, that a one-request batch makes, but with the uncached
+        users of the whole group answered in a single multi-RHS solve
+        (in-group duplicates deduplicated by the result cache's lookup
+        pass).
         """
         users = list(users)
         if excludes is None:

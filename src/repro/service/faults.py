@@ -8,9 +8,10 @@ hands it to the target shard's worker process at spawn time and the worker
 loop (:mod:`repro.service.fleet`) consults it before serving each request:
 
 * ``kill_at_request=N`` — the worker SIGKILLs itself upon receiving its
-  N-th *serving* request (``recommend`` / ``recommend_many`` /
-  ``serve_cohort``; health pings don't count, so supervision traffic never
-  perturbs the script). Models a hard crash mid-read.
+  N-th *serving* request (``recommend_many``, which a single
+  ``recommend`` also sends, or ``serve_cohort``; health pings don't
+  count, so supervision traffic never perturbs the script). Models a
+  hard crash mid-read.
 * ``hang_at_request=N`` — instead of dying, the worker sleeps
   ``hang_seconds`` before answering its N-th serving request, long enough
   to trip the supervisor's per-request timeout. Models a wedged worker

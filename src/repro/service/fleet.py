@@ -92,7 +92,7 @@ __all__ = ["ProcessShardFleet"]
 
 #: RPC methods that count as *serving* requests for FaultSpec triggers
 #: (pings and supervision traffic must never perturb a scripted failure).
-_SERVING_METHODS = frozenset({"recommend", "recommend_many", "serve_cohort"})
+_SERVING_METHODS = frozenset({"recommend_many", "serve_cohort"})
 
 #: Sentinel returned by the non-retryable request path when the worker
 #: crashed mid-apply and the batch was recovered through WAL replay — the

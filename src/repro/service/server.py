@@ -37,8 +37,10 @@ The pieces:
 
 Works unchanged over a :class:`~repro.service.ServingEngine` or a
 :class:`~repro.service.ShardedEngine` — both implement ``recommend_many``.
-``benchmarks/bench_server.py`` drives the whole stack with a seeded
-closed+open-loop load generator and commits ``BENCH_server.json``.
+The ``read-hot-http`` and ``read-cold`` workloads of ``benchmarks/e2e``
+drive the whole stack with seeded open- and closed-loop load, and
+``tests/service/test_serving_floors.py`` holds batching to a same-run
+floor over the unbatched server.
 """
 
 from __future__ import annotations
@@ -576,7 +578,8 @@ class HttpFrontend:
     ``Connection: close``, or a request declares a body
     (``Content-Length`` other than 0, or any ``Transfer-Encoding``): no
     request body is read, so that request is answered with
-    ``Connection: close`` and the connection is closed. Deliberately
+    ``Connection: close`` and the connection is closed. So is a header
+    block over 16 KiB, with **431**. Deliberately
     stdlib-only: the transport is a demo/bench binding, the batching core
     is the product.
     """
@@ -625,10 +628,12 @@ class HttpFrontend:
             while True:
                 try:
                     raw = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                        ConnectionError):
+                except asyncio.LimitOverrunError:
+                    # Past the stream's own 64 KiB limit: too large as well.
+                    raw = None
+                except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                if len(raw) > _MAX_HEADER_BYTES:
+                if raw is None or len(raw) > _MAX_HEADER_BYTES:
                     await self._respond(writer, 431, {
                         "error": "request header too large"}, close=True)
                     break

@@ -33,7 +33,7 @@ and multi-host serving (each shard is an independent, individually
 persistable unit with its own caches and update stream), sharding shrinks
 the serving working set: a cohort's dense score matrix is
 ``batch × shard_items`` instead of ``batch × all_items``, so cold solves
-allocate and scan less memory (measured in ``benchmarks/bench_sharded.py``).
+allocate and scan less memory.
 
 **Semantics caveat.** Routing a user to their component's shard is
 score-exact for component-local scorers (the walk family: AT, AC1, AC2,
@@ -1099,13 +1099,6 @@ def _worker_handle(engine, method: str, payload: dict):
     """
     if method == "ping":
         return {"pid": os.getpid(), "model_version": engine.model_version}
-    if method == "recommend":
-        ranked = engine.recommend(
-            payload["user"], k=payload["k"],
-            exclude_rated=payload["exclude_rated"],
-            exclude=payload["exclude"],
-        )
-        return [(int(r.item), r.label, float(r.score)) for r in ranked]
     if method == "recommend_many":
         ranked_lists = engine.recommend_many(
             payload["users"], k=payload["k"],
@@ -1459,7 +1452,7 @@ class ShardRouter:
 
     def recommend(self, user: int, k: int = 10, exclude_rated: bool = True,
                   exclude=None) -> list[Recommendation]:
-        """Top-``k`` for one global user, answered by the owning shard.
+        """Top-``k`` for one global user: a one-request :meth:`recommend_many`.
 
         ``exclude`` takes **global** item indices; exclusions living in
         other shards are dropped (the user's shard can never recommend
@@ -1468,26 +1461,10 @@ class ShardRouter:
         process fleet a down shard raises
         :class:`~repro.exceptions.ShardUnavailableError`.
         """
-        self._check_user(user)
-        k = check_positive_int(k, "k")
-        banned = as_exclude_array(exclude)
-        with self._routing_lock:
-            shard = int(self._user_shard[user])
-            local = int(self._user_local[user])
-            if banned.size:
-                banned = self._translate_exclusions_locked(shard, banned)
-        ranked = self._call(shard, "recommend", {
-            "user": local,
-            "k": k,
-            "exclude_rated": bool(exclude_rated),
-            "exclude": banned,
-        })
-        # Read *after* the call: an apply absorbed meanwhile may have grown
-        # the shard's item space, and growth is append-only.
-        with self._routing_lock:
-            lookup = self._item_global[shard]
-        return [Recommendation(int(lookup[item]), label, score)
-                for item, label, score in ranked]
+        ranked = self.recommend_many([user], k, exclude_rated, [exclude])[0]
+        if isinstance(ranked, ShardUnavailableError):
+            raise ranked
+        return ranked
 
     def recommend_many(self, users, k: int = 10, exclude_rated: bool = True,
                        excludes=None) -> list:
@@ -1497,9 +1474,10 @@ class ShardRouter:
         grouped by owning shard, each shard answers its slice through
         :meth:`ServingEngine.recommend_many` (one coalesced solve per
         depth group), and item indices are remapped shard-local → global.
-        Exclusions are translated exactly as :meth:`recommend` translates
-        them, so responses are bit-identical to calling :meth:`recommend`
-        once per request. Degraded mode is per position: a request owned
+        Global exclusions owned by other shards are dropped and the rest
+        translated to shard-local indices, so responses are bit-identical
+        to calling :meth:`recommend` once per request (a one-request
+        batch). Degraded mode is per position: a request owned
         by a down process-fleet shard yields a
         :class:`~repro.exceptions.ShardUnavailableError` *instance* at its
         position while every healthy shard's positions carry ranked lists.

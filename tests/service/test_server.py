@@ -592,6 +592,28 @@ class TestHttpFrontend:
         assert json.loads(rest) == {
             "error": "method POST not allowed; use GET"}
 
+    @pytest.mark.parametrize("pad", [20_000, 70_000])
+    def test_oversized_header_answers_431(self, engine, pad):
+        # 20 000 bytes passes the front end's own 16 KiB cap; 70 000 bytes
+        # also overruns the stream reader's 64 KiB limit. Both are answered.
+        async def scenario():
+            async with BatchingServer(engine) as server:
+                async with HttpFrontend(server, port=0) as front:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", front.port)
+                    writer.write(b"GET /recommend?user=0 HTTP/1.1\r\n"
+                                 b"Host: t\r\nX-Pad: " + b"a" * pad +
+                                 b"\r\n\r\n")
+                    await writer.drain()
+                    response = await asyncio.wait_for(reader.read(), 10)
+                    writer.close()
+                    return response
+
+        head, _, body = run(scenario()).partition(b"\r\n\r\n")
+        assert int(head.split()[1]) == 431
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "request header too large"}
+
     def test_overload_maps_to_429(self, engine):
         async def scenario():
             async with BatchingServer(engine, max_queue=1,
