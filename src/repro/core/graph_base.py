@@ -27,6 +27,15 @@ dense-matrix product per sweep (a multi-RHS solve). Only users whose BFS
 genuinely truncates at µ — where the subgraph is query-specific by
 construction — fall back to the per-user path.
 
+Those per-user ("solo") queries are independent, and each is milliseconds
+of numpy/scipy work that mostly runs without the GIL (BFS gathers, sparse
+slices, the τ-sweep). A cohort with two or more distinct solo users scores
+them on the calling thread plus one process-wide pool of helper threads,
+one per usable CPU beyond the first; a lone solo user runs inline. Every
+user goes through the same per-user path either way, so each row is
+bit-identical to scoring it alone. Process-fleet workers score inline
+(:func:`_score_solo_users_inline`): each already has a core.
+
 Warm serving
 ------------
 All request-independent structures are memoized in a
@@ -49,7 +58,10 @@ into the serving-engine reports.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,6 +75,48 @@ from repro.solver import WalkOperator
 from repro.utils.validation import check_in_options, check_positive_int
 
 __all__ = ["RandomWalkRecommender"]
+
+_solo_lock = threading.Lock()
+# (pid, helper count, pool) of the process that started the pool. A child
+# forked after that inherits the pool object but none of its threads, so a
+# pid mismatch starts a fresh pool; a pool of None scores solo users inline.
+_solo_pool: tuple[int, int, ThreadPoolExecutor | None] | None = None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solo_helpers() -> tuple[int, ThreadPoolExecutor | None]:
+    """This process's ``(helper count, pool)``, started on first use."""
+    global _solo_pool
+    pid = os.getpid()
+    pool = _solo_pool
+    if pool is None or pool[0] != pid:
+        with _solo_lock:
+            pool = _solo_pool
+            if pool is None or pool[0] != pid:
+                helpers = _usable_cpus() - 1
+                executor = (ThreadPoolExecutor(
+                    helpers, thread_name_prefix="repro-solo")
+                    if helpers > 0 else None)
+                pool = _solo_pool = (pid, helpers, executor)
+    return pool[1], pool[2]
+
+
+def _score_solo_users_inline() -> None:
+    """Score this process's µ-truncated BFS users on the calling thread.
+
+    A process-fleet worker calls this at boot: each worker already has a
+    core of its own, so helper threads would only compete with its
+    siblings.
+    """
+    global _solo_pool
+    with _solo_lock:
+        _solo_pool = (os.getpid(), 0, None)
 
 
 class RandomWalkRecommender(Recommender):
@@ -385,9 +439,7 @@ class RandomWalkRecommender(Recommender):
         cache = self._ensure_cache()
         absorbing_sets = [self._absorbing_nodes(int(u)) for u in users]
         groups, solo = self._partition_cohort(users, absorbing_sets)
-
-        for i in solo:
-            scores[i] = self._score_user_bfs(int(users[i]), absorbing_sets[i])
+        self._score_solo(users, absorbing_sets, solo, scores)
 
         for components, members in groups.items():
             entry = cache.group(components)
@@ -408,6 +460,63 @@ class RandomWalkRecommender(Recommender):
             rows = np.asarray(members, dtype=np.int64)[:, None]
             scores[rows, entry.item_indices[None, :]] = block.T
         return scores
+
+    def _score_solo(self, users: np.ndarray, absorbing_sets: list[np.ndarray],
+                    solo: list[int], scores: np.ndarray) -> None:
+        """Score the µ-truncated BFS positions ``solo`` into ``scores``.
+
+        Each distinct user is scored once, by :meth:`_score_user_bfs`, and
+        its row is copied to the user's repeated positions, so no two
+        threads build one subgraph. With two or more distinct users, the
+        calling thread and the process's helper threads claim users in
+        cohort order from one counter. The caller scores until none is
+        left, then cancels its helper jobs that never started (the pool
+        may be busy with another caller's), so it waits only for users
+        already being scored. A helper never submits to the pool, and a
+        pool that takes no more jobs (the interpreter is shutting down)
+        leaves every user to the caller. Every user has finished when
+        this returns; if any failed, the first failing position in
+        cohort order raises its exception, the one scoring inline would
+        raise.
+        """
+        first: dict[int, int] = {}
+        for i in solo:
+            first.setdefault(int(users[i]), i)
+        tasks = list(first.values())
+        claims = itertools.count()  # next() is atomic under the GIL
+        errors: dict[int, Exception] = {}
+
+        def score_claimed() -> None:
+            while not errors:
+                task = next(claims)
+                if task >= len(tasks):
+                    return
+                i = tasks[task]
+                try:
+                    scores[i] = self._score_user_bfs(int(users[i]),
+                                                     absorbing_sets[i])
+                except Exception as exc:  # raised below, in cohort order
+                    errors[task] = exc
+
+        helpers, pool = _solo_helpers() if len(tasks) > 1 else (0, None)
+        jobs = []
+        for _ in range(min(helpers, len(tasks) - 1)):
+            try:
+                jobs.append(pool.submit(score_claimed))
+            except RuntimeError:  # interpreter shutdown: the caller scores
+                break
+        try:
+            score_claimed()
+        finally:
+            for job in jobs:
+                if not job.cancel():
+                    job.result()
+        if errors:
+            raise errors[min(errors)]
+        for i in solo:
+            scored = first[int(users[i])]
+            if scored != i:
+                scores[i] = scores[scored]
 
     def _subgraph_seed_items(self, user: int, absorbing: np.ndarray) -> np.ndarray:
         """Item indices seeding the BFS (default: the user's rated items)."""

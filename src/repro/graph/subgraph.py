@@ -143,25 +143,18 @@ class LocalSubgraph:
 
 
 def _first_occurrences(values: np.ndarray, stamp: np.ndarray) -> np.ndarray:
-    """``values`` without repeats, each kept at its first position.
+    """Unvisited ``values`` without repeats, each kept at its first position.
 
-    ``stamp`` is a per-node scratch array holding a value no position
-    reaches; ``np.minimum.at`` leaves each node's first position in it, so
-    no sort is needed. Stamped nodes are not reset: the search marks every
-    one of them visited (or stops), so none is stamped twice.
+    ``stamp`` is a per-node scratch array: ``-1`` at visited nodes and a
+    value no position reaches elsewhere. ``np.minimum.at`` leaves each
+    unvisited node's first position in it and a visited node's ``-1``, so
+    one pass drops repeats and visited nodes together, with no sort. The
+    caller stamps the kept nodes ``-1`` once it visits them (or stops), so
+    no node is stamped with a position twice.
     """
     positions = np.arange(values.size, dtype=stamp.dtype)
     np.minimum.at(stamp, values, positions)
     return values[stamp[values] == positions]
-
-
-def _neighbours(adjacency: sp.csr_matrix, frontier: np.ndarray) -> np.ndarray:
-    """The CSR neighbour lists of ``frontier``, concatenated in its order."""
-    starts = adjacency.indptr[frontier].astype(np.int64)
-    counts = adjacency.indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    offsets = np.repeat(starts - (ends - counts), counts)
-    return adjacency.indices[offsets + np.arange(offsets.size)]
 
 
 def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
@@ -203,8 +196,7 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
     adjacency = graph.adjacency
     stamp = np.full(graph.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
     seeds = _first_occurrences(graph.item_nodes(seed_items), stamp)
-    visited = np.zeros(graph.n_nodes, dtype=bool)
-    visited[seeds] = True
+    stamp[seeds] = -1
     levels = [seeds]
     n_items = seeds.size
     connected = seeds.size == 1
@@ -212,7 +204,8 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
     frontier = seeds if n_items <= max_items else seeds[:0]
     items_level = False  # seeds are items, so the first level holds users
     while frontier.size:
-        found = _neighbours(adjacency, frontier)
+        # scipy's row kernel: the neighbour lists in frontier order.
+        found = adjacency[frontier].indices
         if len(levels) == 1 and not connected and found.size:
             # Every later node hangs off a seed by its discovery edge, so
             # a first-level user adjacent to every seed makes the whole
@@ -220,14 +213,14 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
             # distinct seeds only when the CSR has no repeated entries.
             connected = bool(adjacency.has_canonical_format
                              and np.bincount(found).max() == seeds.size)
-        found = _first_occurrences(found[~visited[found]], stamp)
+        found = _first_occurrences(found, stamp)
         exhausted = False
         if items_level:
             remaining = max_items - n_items
             if found.size > remaining:
                 found, exhausted = found[:remaining], True
             n_items += found.size
-        visited[found] = True
+        stamp[found] = -1
         levels.append(found.astype(np.int64, copy=False))
         if exhausted:
             break

@@ -156,7 +156,11 @@ def _worker_main(conn, shard: int, artifact_path: str,
     loop; only a closed pipe, a shutdown RPC or an injected fault does.
     """
     import repro  # noqa: F401  (populates RECOMMENDER_REGISTRY under spawn)
+    from repro.core.graph_base import _score_solo_users_inline
     from repro.service.engine import ServingEngine
+
+    # Each worker has a core of its own: no helper threads beside it.
+    _score_solo_users_inline()
 
     # The supervisor owns lifecycle; a Ctrl-C on the terminal must reach
     # the parent's drain logic, not SIGINT every worker mid-request.

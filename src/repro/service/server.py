@@ -230,6 +230,23 @@ class _Request:
 _STOP = object()  # queue sentinel: drain what's left, then exit the loop
 
 
+def _check_timeout_ms(timeout_ms) -> float | None:
+    """``None``, or a deadline as a finite float > 0 (ConfigError if not)."""
+    if timeout_ms is None:
+        return None
+    if isinstance(timeout_ms, bool) or not isinstance(
+            timeout_ms, (int, float, np.floating, np.integer)):
+        raise ConfigError(
+            f"timeout_ms must be a positive number or None; got {timeout_ms!r}"
+        )
+    timeout_ms = float(timeout_ms)
+    if not (math.isfinite(timeout_ms) and timeout_ms > 0):
+        raise ConfigError(
+            f"timeout_ms must be a finite number > 0; got {timeout_ms}"
+        )
+    return timeout_ms
+
+
 class BatchingServer:
     """Coalesce concurrent single-user requests into cohort solves.
 
@@ -291,19 +308,7 @@ class BatchingServer:
                 f"max_delay_ms must be a finite number >= 0; got {max_delay_ms}"
             )
         self.max_queue = check_positive_int(max_queue, "max_queue")
-        if timeout_ms is not None:
-            if isinstance(timeout_ms, bool) or not isinstance(
-                    timeout_ms, (int, float, np.floating, np.integer)):
-                raise ConfigError(
-                    f"timeout_ms must be a positive number or None; "
-                    f"got {timeout_ms!r}"
-                )
-            timeout_ms = float(timeout_ms)
-            if not (math.isfinite(timeout_ms) and timeout_ms > 0):
-                raise ConfigError(
-                    f"timeout_ms must be a finite number > 0; got {timeout_ms}"
-                )
-        self.timeout_ms = timeout_ms
+        self.timeout_ms = _check_timeout_ms(timeout_ms)
         self.latency_window = check_positive_int(latency_window,
                                                  "latency_window")
         self._queue: asyncio.Queue | None = None
@@ -382,6 +387,7 @@ class BatchingServer:
         if not self._running:
             raise OverloadedError("server is not running (start() it first)")
         k = check_positive_int(k, "k")
+        timeout_ms = _check_timeout_ms(timeout_ms)
         banned = as_exclude_array(exclude)
         checker = getattr(self.engine, "_check_user", None)
         if checker is None:

@@ -438,6 +438,25 @@ class TestAdmissionValidation:
         report = run(scenario())
         assert report.n_accepted == 0  # nothing malformed reached the queue
 
+    @pytest.mark.parametrize("timeout_ms", [
+        "5", float("nan"), 0, 0.0, -1, True, float("inf"),
+    ])
+    def test_bad_request_deadline_fails_at_admission(self, engine,
+                                                     timeout_ms):
+        """A per-request ``timeout_ms`` meets the constructor's rule before
+        the request is queued: a typed ConfigError, no counter moved."""
+        async def scenario():
+            async with BatchingServer(engine) as server:
+                with pytest.raises(ConfigError, match="timeout_ms"):
+                    await server.recommend(0, k=3, timeout_ms=timeout_ms)
+                served = await server.recommend(0, k=3, timeout_ms=10_000)
+                return served, server.report()
+
+        served, report = run(scenario())
+        assert_same_rankings(served, engine.recommend(0, k=3))
+        assert report.n_accepted == report.n_completed == 1
+        assert report.n_rejected_deadline == report.n_rejected_overload == 0
+
 
 async def http_get(port, path):
     """Tiny raw-socket HTTP client (one request, Connection: close)."""
@@ -643,6 +662,20 @@ class TestHttpFrontend:
         status, payload = run(scenario())
         assert status == 504
         assert "deadline" in payload["error"]
+
+    @pytest.mark.parametrize("raw", ["nan", "0", "-1", "inf"])
+    def test_bad_deadline_maps_to_400(self, engine, raw):
+        async def scenario():
+            async with BatchingServer(engine) as server:
+                async with HttpFrontend(server, port=0) as front:
+                    reply = await http_get(
+                        front.port, f"/recommend?user=0&k=3&timeout_ms={raw}")
+                    return reply, server.report()
+
+        (status, payload), report = run(scenario())
+        assert status == 400
+        assert "timeout_ms" in payload["error"]
+        assert report.n_accepted == report.n_rejected_deadline == 0
 
     def test_requires_batching_server(self):
         with pytest.raises(ConfigError, match="BatchingServer"):

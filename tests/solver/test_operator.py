@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 import repro.solver.operator as operator_module
+from repro import AbsorbingTimeRecommender
 from repro.exceptions import ConfigError, GraphError
 from repro.graph.bipartite import UserItemGraph
 from repro.solver import SOLVE_DTYPES, WalkOperator
@@ -332,6 +333,26 @@ class TestKernelEntry:
             operator.solve_multi(sets, tau, chunk_size=3), whole)
         one = [("csr_matvec", 1)] * sweep
         assert kernel_calls == one + one + [("csr_matvecs", 3)] * sweep + one
+
+    @pytest.mark.parametrize("dtype", SOLVE_DTYPES)
+    def test_group_cohort_is_one_block_sweep(self, fig2, kernel_calls, dtype):
+        """k users of one component group cost one ``solve_multi`` on the
+        group operator and τ − 1 kernel calls of k columns each, where a
+        one-column-chunk sweep or a solve per user would make k times as
+        many calls."""
+        recommender = AbsorbingTimeRecommender(n_iterations=9,
+                                               dtype=dtype).fit(fig2)
+        users = np.arange(fig2.n_users)
+        groups, solo = recommender._partition_cohort(
+            users, [recommender._absorbing_nodes(int(u)) for u in users])
+        assert not solo and list(groups.values()) == [users.tolist()]
+        operator = recommender._ensure_cache().group(*groups).operator
+        before = operator.stats()
+        recommender.score_users(users)
+        after = operator.stats()
+        assert after["solves"] - before["solves"] == 1
+        assert after["columns_solved"] - before["columns_solved"] == users.size
+        assert kernel_calls == [("csr_matvecs", users.size)] * (9 - 1)
 
 
 class TestThreadSafety:
