@@ -39,21 +39,24 @@ bit-identical to scoring it alone. Process-fleet workers score inline
 Warm serving
 ------------
 All request-independent structures are memoized in a
-:class:`~repro.graph.cache.TransitionCache` owned by the fitted recommender,
-and every cache entry carries a prepared
-:class:`~repro.solver.WalkOperator`: the transition matrix is validated
-exactly once when the entry is built, the per-group cost vectors and
-label-indexed reachability are memoized inside the operator, and the
-τ-sweeps run chunked in the configured ``dtype`` policy (``float32`` halves
-SpMM bandwidth; top-k parity with float64 is asserted in the test suite).
-A serving process hitting the same component groups request after request
-pays the sparse slice, normalization and validation once; repeat requests
-go straight to the solve. Every cached operator is bipartite (users first,
-then items), so a sweep computes only the side the next step reads and a
-solve returns just the item rows that ranking reads. The cache is
-(re)built lazily after ``fit`` or ``load_state_dict`` and its hit/miss and
-operator counters surface through :meth:`Recommender.scoring_cache_stats`
-into the serving-engine reports.
+:class:`~repro.graph.cache.TransitionCache` owned by the fitted recommender.
+A shared group and a per-query BFS subgraph come back in one shape, a
+:class:`~repro.graph.cache.WalkEntry` ``(index, operator)``, and are scored
+by one routine (:meth:`RandomWalkRecommender._score_entry`): locate each
+absorbing set through the index, solve the sets that lie inside the
+subgraph in one multi-RHS call, scatter the item rows. The operator's
+transition matrix is validated exactly once when the entry is built, the
+per-group cost vectors and label-indexed reachability are memoized inside
+it, and the τ-sweeps run chunked in the configured ``dtype`` policy
+(``float32`` halves SpMM bandwidth; top-k parity with float64 is asserted
+in the test suite). A serving process hitting the same component groups
+request after request pays the sparse slice, normalization and validation
+once; repeat requests go straight to the solve. Every cached operator is
+bipartite (users first, then items), so a sweep computes only the side the
+next step reads and a solve returns just the item rows that ranking reads.
+The cache is (re)built lazily after ``fit`` or ``load_state_dict`` and its
+hit/miss and operator counters surface through
+:meth:`Recommender.scoring_cache_stats` into the serving-engine reports.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from repro.core.costs import CostModel
 from repro.data.dataset import DatasetDelta, RatingDataset
 from repro.exceptions import ConfigError
 from repro.graph.bipartite import GraphUpdate, UserItemGraph
-from repro.graph.cache import TransitionCache
+from repro.graph.cache import TransitionCache, WalkEntry
 from repro.solver import WalkOperator
 from repro.utils.validation import check_in_options, check_positive_int
 
@@ -305,19 +308,6 @@ class RandomWalkRecommender(Recommender):
 
     # -- prepared solves ------------------------------------------------------
 
-    def _solve(self, operator: WalkOperator,
-               absorbing_local: np.ndarray) -> np.ndarray:
-        """Single-query absorbing values through a prepared operator.
-
-        Like every solve of a cached (bipartite) operator, the result holds
-        the item rows only.
-        """
-        local_costs = operator.costs_for(self._cost_model())
-        if self.method == "exact":
-            return operator.solve_exact(absorbing_local, local_costs)
-        return operator.solve(absorbing_local, self.n_iterations, local_costs,
-                              dtype=self.serving_dtype)
-
     def _solve_multi(self, operator: WalkOperator,
                      absorbing_sets: list[np.ndarray]) -> np.ndarray:
         """``(n_items, n_sets)`` absorbing values, one column per query.
@@ -337,6 +327,31 @@ class RandomWalkRecommender(Recommender):
             dtype=self.serving_dtype, chunk_size=self.chunk_size,
         )
 
+    def _score_entry(self, entry: WalkEntry, absorbing_sets: list[np.ndarray],
+                     scores: np.ndarray, rows: list[int]) -> None:
+        """Score ``absorbing_sets`` on one cached subgraph into ``scores``.
+
+        Set ``j`` fills row ``rows[j]``, which holds ``-inf`` on entry. The
+        entry's index maps every set to local positions; a set not wholly
+        inside the subgraph leaves its row at ``-inf`` (for HT the query
+        user is adjacent to their items, so that takes a user with more
+        ratings than µ: the search then stops at the seeds). The other sets
+        share one multi-RHS solve, and the operator's item rows land in
+        their catalogue columns in one scatter, non-finite values as
+        ``-inf``.
+        """
+        index, operator = entry
+        local = [index.locate(absorbing) for absorbing in absorbing_sets]
+        inside = [j for j, positions in enumerate(local)
+                  if (positions >= 0).all()]
+        if not inside:
+            return
+        item_values = self._solve_multi(operator, [local[j] for j in inside])
+        block = np.where(np.isfinite(item_values), -item_values, -np.inf)
+        items = index.nodes[operator.n_users:] - self.graph.n_users
+        rows = np.asarray(rows, dtype=np.int64)[inside]
+        scores[rows[:, None], items[None, :]] = block.T
+
     def _score_user(self, user: int) -> np.ndarray:
         # Single queries ride the batch path as a cohort of one, so the
         # per-user and batch rankings agree by construction.
@@ -348,32 +363,19 @@ class RandomWalkRecommender(Recommender):
         Used when the BFS budget genuinely truncates: the subgraph then
         depends on the query's expansion order and cannot be shared across
         *different* queries — but it is deterministic per query, so the
-        subgraph's :class:`~repro.graph.subgraph.NodeIndex` and its prepared
-        operator come from the cache and a repeated request skips the
-        traversal, the sparse setup and the validation. The index's sorted
-        inverse maps the absorbing set to local positions; reachability is
+        subgraph's entry comes from the cache and a repeated request skips
+        the traversal, the sparse setup and the validation. Reachability is
         the operator's single component label whenever the BFS proved the
         subgraph connected — always, for seeds that are one user's ratings,
         unless there are more of them than µ (the search then stops at the
         seeds and the operator falls back to Dijkstra).
         """
-        graph = self.graph
-        cache = self._ensure_cache()
-        scores = np.full(self.dataset.n_items, -np.inf)
-        seed_items = self._subgraph_seed_items(user, absorbing)
-        index, operator = cache.bfs(user, seed_items, absorbing,
-                                    self.subgraph_size)
-        absorbing_local = index.locate(absorbing)
-        if (absorbing_local < 0).any():
-            # The absorbing set must live inside the subgraph; for HT the
-            # query user is adjacent to their items so this only triggers on
-            # pathological inputs.
-            return scores
-        item_values = self._solve(operator, absorbing_local)
-        item_indices = index.nodes[operator.n_users:] - graph.n_users
-        finite = np.isfinite(item_values)
-        scores[item_indices[finite]] = -item_values[finite]
-        return scores
+        entry = self._ensure_cache().bfs(
+            user, self._subgraph_seed_items(user, absorbing), absorbing,
+            self.subgraph_size)
+        scores = np.full((1, self.dataset.n_items), -np.inf)
+        self._score_entry(entry, [absorbing], scores, [0])
+        return scores[0]
 
     # -- batch path ----------------------------------------------------------
 
@@ -442,23 +444,9 @@ class RandomWalkRecommender(Recommender):
         self._score_solo(users, absorbing_sets, solo, scores)
 
         for components, members in groups.items():
-            entry = cache.group(components)
-            if components is None:
-                # Global pseudo-group: entry.nodes is the identity map, so
-                # parent indices already are local indices.
-                absorbing_local = [absorbing_sets[i] for i in members]
-            else:
-                # entry.nodes is sorted ascending; searchsorted inverts it.
-                absorbing_local = [
-                    np.searchsorted(entry.nodes, absorbing_sets[i])
-                    for i in members
-                ]
-            item_values = self._solve_multi(entry.operator, absorbing_local)
-            # One vectorized scatter per group: non-finite values land as
-            # -inf, matching the rows' initial fill.
-            block = np.where(np.isfinite(item_values), -item_values, -np.inf)
-            rows = np.asarray(members, dtype=np.int64)[:, None]
-            scores[rows, entry.item_indices[None, :]] = block.T
+            self._score_entry(cache.group(components),
+                              [absorbing_sets[i] for i in members], scores,
+                              members)
         return scores
 
     def _score_solo(self, users: np.ndarray, absorbing_sets: list[np.ndarray],

@@ -7,7 +7,7 @@ methods of :class:`repro.solver.WalkOperator`.
 """
 
 from repro.graph.bipartite import GraphUpdate, UserItemGraph
-from repro.graph.cache import TransitionCache, TransitionGroup
+from repro.graph.cache import TransitionCache, WalkEntry
 from repro.graph.proximity import commute_times, katz_index, personalized_pagerank
 from repro.graph.random_walk import (
     monte_carlo_absorbing_time,
@@ -22,7 +22,7 @@ __all__ = [
     "UserItemGraph",
     "GraphUpdate",
     "TransitionCache",
-    "TransitionGroup",
+    "WalkEntry",
     "commute_times",
     "katz_index",
     "personalized_pagerank",

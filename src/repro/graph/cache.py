@@ -2,42 +2,44 @@
 
 Scoring a cohort through :class:`~repro.core.graph_base.RandomWalkRecommender`
 spends a large share of its time *before* any sweep runs: slicing the
-component-group submatrix out of the global adjacency, row-normalizing it,
-building the user mask and the per-node entropy vector. Those structures
-depend only on the (immutable) fitted graph and the component-group key —
-never on the query — so a serving process that sees the same µ-subgraph
-groups request after request is recomputing identical sparse matrices.
+subgraph's submatrix out of the global adjacency, row-normalizing it and
+validating it. Those structures depend only on the (immutable) fitted graph
+and the subgraph's key — never on the rest of the query — so a serving
+process that sees the same subgraphs request after request would otherwise
+recompute identical sparse matrices.
 
-:class:`TransitionCache` memoizes them, and since the prepared-operator
-refactor every entry carries a ready-to-solve
-:class:`~repro.solver.WalkOperator`: the transition matrix is validated
-exactly once when the entry is built, and every subsequent solve through the
-operator skips validation, reuses the memoized cost vectors and label-indexed
-reachability, and sweeps through chunked buffers. Every operator is built
-with its entry's user mask over a users-first node order, so it is a
-bipartite operator: its sweeps compute only the side the next step reads,
-and its solves return the item rows only.
+:class:`TransitionCache` memoizes them as :class:`WalkEntry` pairs
+``(index, operator)``: the subgraph's
+:class:`~repro.graph.subgraph.NodeIndex` (parent nodes in local order, users
+first, plus the sorted inverse that maps an absorbing set to local
+positions) and a ready-to-solve :class:`~repro.solver.WalkOperator`. The
+operator validates its transition exactly once, when the entry is built,
+and every later solve skips validation, reuses the memoized cost vectors
+and label-indexed reachability, and sweeps through chunked buffers. Every
+operator is built with its entry's user mask over a users-first node order,
+so it is a bipartite operator: its sweeps compute only the side the next
+step reads, and its solves return the item rows only. Both kinds of entry
+have that one shape:
 
-* :meth:`group` — the shared transition matrix (plus user mask, local
-  component labels, item index maps, the entropy slice and the prepared
-  operator) for a component-group key, as used by the grouped multi-RHS
-  batch path;
-* :meth:`bfs` — the µ-truncated BFS subgraph's node index and its prepared
-  operator for a single query, keyed by (user, absorbing set, µ): the BFS
-  expansion is deterministic, so a repeated query skips the traversal, the
-  sparse slice, the normalization and the validation entirely. An entry
-  keeps only the node order, its sorted inverse and the operator — the
-  induced adjacency is dropped once the transition is built. The
-  subgraph's nodes are laid out by kind (users, then items, each in BFS
-  order), so the operator is bipartite like a group's;
+* :meth:`group` — the shared subgraph of a component-group key (or the
+  whole graph), as used by the grouped multi-RHS batch path. Its nodes are
+  sorted ascending, so the index is its own inverse;
+* :meth:`bfs` — the µ-truncated BFS subgraph of a single query, keyed by
+  (user, absorbing set, µ): the BFS expansion is deterministic, so a
+  repeated query skips the traversal, the sparse slice, the normalization
+  and the validation entirely. The induced adjacency is dropped once the
+  transition is built. The subgraph's nodes are laid out by kind (users,
+  then items, each in BFS order), so the operator is bipartite like a
+  group's;
 * :attr:`node_entropy` — the full per-node entropy vector, computed once.
 
-Entries are kept in an LRU dict bounded by ``max_entries``; hit/miss
-counters feed the serving reports (`cache-hit stats` in
-:class:`~repro.service.engine.ServingEngine`). Lookups are guarded by a lock,
-because a :class:`~repro.service.server.BatchingServer`'s solve thread and
-direct callers can resolve groups at the same time; a racing cold build can
-run twice, but only one entry wins. The operators themselves are shared by
+Entries are kept in two LRU dicts, one per kind, bounded by ``max_entries``
+and ``max_bfs_entries``; hit/miss counters feed the serving reports
+(`cache-hit stats` in :class:`~repro.service.engine.ServingEngine`). Lookups
+pick the LRU under a lock, because a
+:class:`~repro.service.server.BatchingServer`'s solve thread and direct
+callers can resolve entries at the same time; a racing cold build can run
+twice, but only one entry wins. The operators themselves are shared by
 every such thread.
 
 The cache assumes the graph and the entropy vector are frozen between
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,41 +68,26 @@ from repro.solver import WalkOperator
 from repro.utils.sparse import row_normalize, safe_divide_rows
 from repro.utils.validation import check_positive_int
 
-__all__ = ["TransitionGroup", "TransitionCache"]
+__all__ = ["TransitionCache", "WalkEntry"]
 
 
-@dataclass(frozen=True)
-class TransitionGroup:
-    """Warm walk structures shared by every query hitting one node group.
+class WalkEntry(NamedTuple):
+    """One cached subgraph, ready to solve.
 
     Attributes
     ----------
-    nodes:
-        Parent-graph node indices of the group, sorted ascending (so users
-        come first, then items).
-    transition:
-        Row-normalized transition matrix over ``nodes``.
-    user_mask:
-        Boolean per local node; True where the node is a user.
-    labels:
-        Connected-component id per local node.
-    node_entropy:
-        Entropy per local node (user entropy at user nodes, 0 at items).
-    item_indices:
-        Catalogue item index of each item node (the nodes after the user
-        prefix, ``nodes[operator.n_users:]``), so of each row a solve
-        returns.
+    index:
+        Parent-graph nodes in local order (users first, then items) and
+        their sorted inverse; ``index.locate`` maps an absorbing set to
+        local positions, and ``index.nodes[operator.n_users:]`` are the
+        item nodes of the rows a solve returns.
     operator:
-        The prepared :class:`~repro.solver.WalkOperator` over ``transition``
-        — validated once at build time; all warm solves go through it.
+        The prepared :class:`~repro.solver.WalkOperator` over the
+        subgraph's transition — validated once at build time; all warm
+        solves go through it.
     """
 
-    nodes: np.ndarray
-    transition: sp.csr_matrix
-    user_mask: np.ndarray
-    labels: np.ndarray
-    node_entropy: np.ndarray
-    item_indices: np.ndarray
+    index: NodeIndex
     operator: WalkOperator
 
 
@@ -120,10 +107,9 @@ class TransitionCache:
     max_bfs_entries:
         Separate bound for per-query BFS entries. The two kinds live in
         separate LRUs so a churn of one-off truncated-BFS queries can never
-        evict the heavily shared group transition matrices. A BFS entry is
-        a ``(NodeIndex, WalkOperator)`` pair whose only sparse matrix is the
-        operator's transition (about 4.2 MiB at µ = 6000 on a ~15k-node
-        subgraph).
+        evict the heavily shared group transition matrices. A BFS entry's
+        only sparse matrix is the operator's transition (about 4.2 MiB at
+        µ = 6000 on a ~15k-node subgraph).
     """
 
     #: Key of the whole-graph pseudo-group used by global-graph scoring.
@@ -142,8 +128,8 @@ class TransitionCache:
         self.node_entropy = node_entropy
         self.max_entries = check_positive_int(max_entries, "max_entries")
         self.max_bfs_entries = check_positive_int(max_bfs_entries, "max_bfs_entries")
-        self._groups: OrderedDict[tuple, TransitionGroup] = OrderedDict()  # guarded-by: cache._lock
-        self._bfs: OrderedDict[tuple, tuple] = OrderedDict()  # guarded-by: cache._lock
+        self._groups: OrderedDict[tuple, WalkEntry] = OrderedDict()  # guarded-by: cache._lock
+        self._bfs: OrderedDict[tuple, WalkEntry] = OrderedDict()  # guarded-by: cache._lock
         # Reentrant so stats() can aggregate via operator_stats()/len()
         # under one consistent snapshot.
         self._lock = threading.RLock()
@@ -156,8 +142,15 @@ class TransitionCache:
 
     # -- generic LRU ---------------------------------------------------------
 
-    def _get(self, entries: OrderedDict, key: tuple, builder, bound: int):
+    def _lru_locked(self, key: tuple) -> tuple[OrderedDict, int]:
+        """The LRU holding ``key``'s kind of entry, and its bound."""
+        if key[0] == "bfs":
+            return self._bfs, self.max_bfs_entries
+        return self._groups, self.max_entries
+
+    def _get(self, key: tuple, builder) -> WalkEntry:
         with self._lock:
+            entries, bound = self._lru_locked(key)
             entry = entries.get(key)
             if entry is not None:
                 entries.move_to_end(key)
@@ -169,6 +162,10 @@ class TransitionCache:
         # wins, the loser's entry is discarded).
         entry = builder()
         with self._lock:
+            if self._lru_locked(key)[0] is not entries:
+                # apply_update rebound the LRU while this entry was being
+                # built, maybe from the old graph: it serves this call only.
+                return entry
             existing = entries.get(key)
             if existing is not None:
                 entries.move_to_end(key)
@@ -178,49 +175,15 @@ class TransitionCache:
                 entries.popitem(last=False)
         return entry
 
-    # -- component-group transitions ----------------------------------------
-
-    def group(self, components: tuple[int, ...] | None) -> TransitionGroup:
-        """Warm structures for a component-group key.
-
-        ``components`` is the sorted tuple of connected-component ids whose
-        union forms the shared subgraph; ``None`` addresses the whole graph
-        (the global-graph scoring mode), reusing the graph's own cached
-        transition matrix.
-        """
-        if components is None:
-            return self._get(self._groups, self.GLOBAL_KEY, self._build_global,
-                             self.max_entries)
-        key = ("group",) + tuple(int(c) for c in components)
-        return self._get(self._groups, key,
-                         lambda: self._build_group(key[1:]), self.max_entries)
-
-    def _finish_group(self, nodes: np.ndarray, transition: sp.csr_matrix,
-                      labels: np.ndarray) -> TransitionGroup:
-        user_mask = nodes < self.graph.n_users
-        node_entropy = self.node_entropy[nodes]
-        # The one place a group matrix is validated: operator construction.
-        operator = WalkOperator(
-            transition, labels=labels, user_mask=user_mask,
-            node_entropy=node_entropy,
+    def _entry(self, index: NodeIndex, transition: sp.csr_matrix,
+               labels: np.ndarray | None) -> WalkEntry:
+        nodes = index.nodes
+        # The one place an entry's matrix is validated: operator construction.
+        return WalkEntry(index, WalkOperator(
+            transition, labels=labels, user_mask=nodes < self.graph.n_users,
+            node_entropy=self.node_entropy[nodes],
             substochastic=self.graph.substochastic,
-        )
-        return TransitionGroup(
-            nodes=nodes,
-            transition=operator.transition,
-            user_mask=user_mask,
-            labels=labels,
-            node_entropy=node_entropy,
-            item_indices=nodes[operator.n_users:] - self.graph.n_users,
-            operator=operator,
-        )
-
-    def _build_global(self) -> TransitionGroup:
-        graph = self.graph
-        nodes = np.arange(graph.n_nodes, dtype=np.int64)
-        return self._finish_group(
-            nodes, graph.transition_matrix(), graph.component_labels()
-        )
+        ))
 
     def _subgraph_transition(self, sub: sp.csr_matrix,
                              nodes: np.ndarray) -> sp.csr_matrix:
@@ -236,20 +199,44 @@ class TransitionCache:
             return safe_divide_rows(sub, self.graph.degrees[nodes])
         return row_normalize(sub, allow_zero_rows=True)
 
-    def _build_group(self, components: tuple[int, ...]) -> TransitionGroup:
+    # -- component groups ----------------------------------------------------
+
+    def group(self, components: tuple[int, ...] | None) -> WalkEntry:
+        """The shared subgraph of a component-group key.
+
+        ``components`` is the sorted tuple of connected-component ids whose
+        union forms the shared subgraph; ``None`` addresses the whole graph
+        (the global-graph scoring mode), reusing the graph's own cached
+        transition matrix. The entry's nodes are sorted ascending, so users
+        come first and the index is its own inverse.
+        """
+        if components is None:
+            key = self.GLOBAL_KEY
+        else:
+            key = ("group",) + tuple(int(c) for c in components)
+        return self._get(key, lambda: self._build_group(components))
+
+    def _build_group(self, components: tuple[int, ...] | None) -> WalkEntry:
         graph = self.graph
         labels = graph.component_labels()
-        nodes = np.flatnonzero(np.isin(labels, np.array(components)))
-        transition = self._subgraph_transition(
-            graph.adjacency[nodes][:, nodes].tocsr(), nodes
-        )
-        return self._finish_group(nodes, transition, labels[nodes])
+        if components is None:
+            nodes = np.arange(graph.n_nodes, dtype=np.int64)
+            transition = graph.transition_matrix()
+        else:
+            nodes = np.flatnonzero(np.isin(labels, np.array(components)))
+            transition = self._subgraph_transition(
+                graph.adjacency[nodes][:, nodes].tocsr(), nodes
+            )
+            labels = labels[nodes]
+        index = NodeIndex(nodes=nodes, sorted_nodes=nodes,
+                          sorted_local=np.arange(nodes.size, dtype=np.int32))
+        return self._entry(index, transition, labels)
 
     # -- per-query BFS subgraphs --------------------------------------------
 
     def bfs(self, user: int, seed_items: np.ndarray, absorbing: np.ndarray,
-            max_items: int) -> tuple[NodeIndex, WalkOperator]:
-        """Memoized µ-truncated BFS subgraph as ``(node index, operator)``.
+            max_items: int) -> WalkEntry:
+        """Memoized µ-truncated BFS subgraph of one query.
 
         The key covers everything the expansion depends on — the seed items,
         the absorbing set and the µ budget — so a repeated request for the
@@ -272,18 +259,14 @@ class TransitionCache:
 
         def build():
             sub = bfs_subgraph(self.graph, seed_items, max_items)
-            nodes = sub.by_kind.nodes
-            operator = WalkOperator(
-                self._subgraph_transition(sub.adjacency, nodes),
-                labels=(np.zeros(nodes.size, dtype=np.int8)
-                        if sub.connected else None),
-                user_mask=nodes < self.graph.n_users,
-                node_entropy=self.node_entropy[nodes],
-                substochastic=self.graph.substochastic,
-            )
-            return (sub.by_kind, operator)
+            index = sub.by_kind
+            labels = (np.zeros(index.n_nodes, dtype=np.int8)
+                      if sub.connected else None)
+            return self._entry(
+                index, self._subgraph_transition(sub.adjacency, index.nodes),
+                labels)
 
-        return self._get(self._bfs, key, build, self.max_bfs_entries)
+        return self._get(key, build)
 
     # -- incremental updates --------------------------------------------------
 
@@ -300,11 +283,12 @@ class TransitionCache:
         * group entries whose component key intersects the touched set are
           evicted, as is the whole-graph pseudo-group (any event changes the
           global transition matrix); every other group entry stays **warm**
-          — its transition matrix, prepared operator (validation, memoized
-          plans, splu factors) and entropy slice are untouched by
-          construction. When users were appended, retained entries get their
-          parent ``nodes`` remapped (item node = ``n_users + item`` shifts);
-          everything local to the subgraph is index-stable.
+          — its prepared operator (validation, transition, reachability
+          memo, splu factors, entropy slice) is untouched by construction.
+          When users were appended, a retained entry's index is shifted
+          (item node = ``n_users + item`` moves up by the new-user count,
+          which keeps the sort order); everything local to the subgraph is
+          index-stable.
         * BFS entries are per-query: evicted when their subgraph touches an
           invalidated component — or wholesale when users were appended,
           because their keys embed absorbing *node* ids that shifted (a
@@ -336,34 +320,25 @@ class TransitionCache:
         counts = {"invalidated_groups": 0, "retained_groups": 0,
                   "invalidated_bfs": 0, "retained_bfs": 0}
         with self._lock:
-            groups: OrderedDict[tuple, TransitionGroup] = OrderedDict()
+            groups: OrderedDict[tuple, WalkEntry] = OrderedDict()
             for key, entry in self._groups.items():
                 if key == self.GLOBAL_KEY or touched.intersection(key[1:]):
                     counts["invalidated_groups"] += 1
                     continue
                 if user_shift:
-                    nodes = np.where(entry.nodes < old_n_users,
-                                     entry.nodes, entry.nodes + user_shift)
-                    entry = TransitionGroup(
-                        nodes=nodes,
-                        transition=entry.transition,
-                        user_mask=entry.user_mask,
-                        labels=entry.labels,
-                        node_entropy=entry.node_entropy,
-                        item_indices=entry.item_indices,
-                        operator=entry.operator,
-                    )
+                    entry = entry._replace(
+                        index=entry.index.shifted(old_n_users, user_shift))
                 groups[key] = entry
                 counts["retained_groups"] += 1
             self._groups = groups
 
-            bfs: OrderedDict[tuple, tuple] = OrderedDict()
-            for key, (index, operator) in self._bfs.items():
+            bfs: OrderedDict[tuple, WalkEntry] = OrderedDict()
+            for key, entry in self._bfs.items():
                 if user_shift or touched.intersection(
-                        int(c) for c in np.unique(old_labels[index.nodes])):
+                        int(c) for c in np.unique(old_labels[entry.index.nodes])):
                     counts["invalidated_bfs"] += 1
                     continue
-                bfs[key] = (index, operator)
+                bfs[key] = entry
                 counts["retained_bfs"] += 1
             self._bfs = bfs
 
@@ -396,10 +371,9 @@ class TransitionCache:
         """
         with self._lock:  # snapshot: other threads may be inserting
             operators = [entry.operator for entry in self._groups.values()]
-            operators += [op for _, op in self._bfs.values()]
+            operators += [entry.operator for entry in self._bfs.values()]
         stats = [op.stats() for op in operators]
-        counters = ("validations", "solves", "columns_solved", "plan_hits",
-                    "plan_misses")
+        counters = ("validations", "solves", "columns_solved")
         return {"operators": len(operators),
                 **{name: sum(s[name] for s in stats) for name in counters}}
 

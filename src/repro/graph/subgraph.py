@@ -71,9 +71,11 @@ class NodeIndex:
         keys = self.sorted_nodes
         if keys.size == 0:
             return np.full(parent_nodes.shape, -1, dtype=np.int64)
-        slots = np.minimum(np.searchsorted(keys, parent_nodes), keys.size - 1)
-        return np.where(keys[slots] == parent_nodes,
-                        self.sorted_local[slots], -1).astype(np.int64)
+        slots = keys.searchsorted(parent_nodes)
+        np.minimum(slots, keys.size - 1, out=slots)
+        local = self.sorted_local[slots].astype(np.int64)
+        local[keys[slots] != parent_nodes] = -1
+        return local
 
     def to_local(self, parent_nodes) -> np.ndarray:
         """Map parent node indices to local indices (GraphError if absent)."""
@@ -88,6 +90,20 @@ class NodeIndex:
 
     def contains(self, parent_node: int) -> bool:
         return bool(self.locate(int(parent_node))[0] >= 0)
+
+    def shifted(self, start: int, shift: int) -> "NodeIndex":
+        """The same local order with parent nodes ``>= start`` moved up by
+        ``shift`` (item nodes, when ``shift`` users were appended).
+
+        Moving a suffix of the node ids up keeps their sort order, so
+        ``sorted_local`` is unchanged.
+        """
+        def move(nodes: np.ndarray) -> np.ndarray:
+            return np.where(nodes < start, nodes, nodes + shift)
+
+        return NodeIndex(nodes=move(self.nodes),
+                         sorted_nodes=move(self.sorted_nodes),
+                         sorted_local=self.sorted_local)
 
     def reordered(self, order: np.ndarray) -> "NodeIndex":
         """The same nodes in local order ``nodes[order]``, without a sort."""

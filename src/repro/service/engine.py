@@ -386,16 +386,9 @@ class ServingEngine:
         (duplicates fanned back out) from the cache. Stage seconds are
         added to the caller's ``timings``, never to engine state, so
         concurrent callers cannot leak time into each other's reports.
+        Rows solved by this call are served from ``fresh`` even when the
+        cache does not keep them (a zero-size cache keeps none).
         """
-        if self.result_cache_size == 0:
-            # No cache, but in-cohort duplicates are still solved once.
-            unique, inverse = np.unique(users, return_inverse=True)
-            with self._lock:
-                self.result_cache_misses += int(unique.size)
-                self.result_cache_hits += int(users.size - unique.size)
-            with _stage(timings, "solve"):
-                items, scores = self._score_users(unique, k, exclude_rated)
-            return items[inverse], scores[inverse]
         with _stage(timings, "lookup"), self._lock:
             keys = [(int(u), k, exclude_rated) for u in users]
             missing: list[int] = []

@@ -191,9 +191,9 @@ class ServerReport:
         """Rebuild a report from :meth:`summary` output (JSON round-trip).
 
         ``summary() -> json.dumps -> json.loads -> from_summary -> summary()``
-        is lossless up to the rounding ``summary`` itself applies — the
-        contract that lets dashboards and the bench archive re-hydrate
-        committed reports.
+        is lossless up to the rounding ``summary`` itself applies, so the
+        JSON that :class:`HttpFrontend`'s ``GET /report`` answers with reads
+        back into an equal report.
         """
         return cls(
             n_accepted=int(payload["accepted"]),

@@ -13,13 +13,15 @@ request-independent structure of the solve:
 * connected-component labels for O(n) label-indexed reachability lookups
   (replacing per-query ``np.isin`` sorts);
 * memoized per-cost-model local cost vectors;
-* an LRU of *solve plans* (pin coordinates) plus a per-set reachability
-  column memo, so a repeated cohort re-derives nothing;
-* chunked multi-RHS sweeps, one loop over row blocks. An operator built
-  with a ``user_mask`` is bipartite (users first, then items, no
-  same-kind edge — checked at construction): its sweep alternates item and
-  user half-sweeps in place in one ``n_nodes × chunk_size`` buffer and its
-  solves return the item rows only. Without a mask the sweep covers every
+* a per-set reachability column memo, which hits across cohorts that
+  share a set (or, with labels, a component);
+* chunked multi-RHS sweeps, one loop over row blocks, in the precision
+  (``dtype``) and chunk width (``chunk_size``) each solve asks for. An
+  operator built with a ``user_mask`` is bipartite (users first, then
+  items, no same-kind edge — checked at construction): its sweep
+  alternates item and user half-sweeps in place in one
+  ``n_nodes × chunk_size`` buffer and its solves return the item rows
+  only. Without a mask the sweep covers every
   row, ping-ponging between two such buffers. A one-column sweep (a lone
   query) runs on scipy's single-vector ``csr_matvec``, as ``P @ x`` does,
   and a wider one on ``csr_matvecs``; both accumulate each row in its

@@ -14,10 +14,11 @@ every mode, so ranking never recommends them.
 The operator is built around one idea: everything that does not depend on
 the query — matrix validation, the float32 copy, cost vectors,
 component-label reachability, LU factors — is computed at most once per
-operator, and the per-query remainder (pin coordinates, reachability
-columns) is memoized in a small plan LRU so a repeated cohort re-derives
-nothing. The memos and counters sit behind one leaf lock, because cached
-operators are shared by every thread that serves their group.
+operator. Of the per-query remainder only the reachability column is
+memoized (per absorbing set, which hits across cohorts); pin coordinates
+cost about as much to derive as to look up, so every solve derives them.
+The memos and counters sit behind one leaf lock, because cached operators
+are shared by every thread that serves their group.
 
 **Bipartite half-sweeps.** An operator built with a ``user_mask`` is a
 bipartite operator: its local order lists users first, then items, and no
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,22 +87,8 @@ __all__ = ["SOLVE_DTYPES", "WalkOperator"]
 #: The dtype policies the solver core supports.
 SOLVE_DTYPES = ("float64", "float32")
 
-
-@dataclass(frozen=True)
-class _SolvePlan:
-    """Pin structure of one absorbing-set cohort, memoized by content.
-
-    ``pin_rows``/``pin_cols`` are the flat (node, column) coordinates of
-    every absorbing entry (``pin_cols`` ascending, so chunk slicing is a
-    ``searchsorted``). Reachability is deliberately *not* stored here — it
-    is memoized per set in the operator's column memo, which hits across
-    different cohorts containing the same user and costs one boolean
-    column per entry instead of an ``(n_nodes, n_sets)`` matrix per plan.
-    """
-
-    sets: tuple
-    pin_rows: np.ndarray
-    pin_cols: np.ndarray
+#: Bound on the exact mode's memoized ``splu`` factors (one per set).
+_FACTOR_CACHE_SIZE = 8
 
 
 class WalkOperator:
@@ -129,36 +115,28 @@ class WalkOperator:
     node_entropy:
         Optional per-node entropy handed to cost models by
         :meth:`costs_for`; required only when a cost model is used.
-    dtype:
-        Default solve precision: ``"float64"`` (reference) or ``"float32"``
-        (serving mode — halves SpMM bandwidth; top-k parity with float64 is
-        asserted in the test suite). Overridable per solve.
-    chunk_size:
-        Default column budget per multi-RHS chunk; bounds the dense sweep
-        memory at ``n_nodes × chunk_size`` floats for a bipartite operator
-        (its half-sweeps work in place in one buffer) and
-        ``2 × n_nodes × chunk_size`` otherwise.
     validate:
         Set False only for matrices this library normalized itself. The
         bipartite check of a ``user_mask`` operator always runs.
+    substochastic:
+        Accept rows that sum to less than one (degree-true halo
+        transitions); the τ-sweep bills the missing mass, see
+        :meth:`_sweep_chunk`.
+
+    The solve precision (``dtype``) and the multi-RHS chunk width
+    (``chunk_size``) are arguments of each solve.
     """
 
     def __init__(self, transition, *, labels: np.ndarray | None = None,
                  user_mask: np.ndarray | None = None,
                  node_entropy: np.ndarray | None = None,
-                 dtype: str = "float64", chunk_size: int = 1024,
-                 validate: bool = True, plan_cache_size: int = 32,
-                 factor_cache_size: int = 8, substochastic: bool = False):
-        self.dtype = check_in_options(dtype, "dtype", SOLVE_DTYPES)
-        self.chunk_size = check_positive_int(chunk_size, "chunk_size")
+                 validate: bool = True, substochastic: bool = False):
         self.substochastic = bool(substochastic)
         # A leaf lock: nothing else is ever acquired while it is held.
         self._lock = threading.Lock()
         self.validations = 0
         self.solves = 0  # guarded-by: operator._lock
         self.columns_solved = 0  # guarded-by: operator._lock
-        self.plan_hits = 0  # guarded-by: operator._lock
-        self.plan_misses = 0  # guarded-by: operator._lock
         if validate:
             self.transition = self._validate(transition)
         else:
@@ -200,12 +178,7 @@ class WalkOperator:
         self._transition32: sp.csr_matrix | None = None
         self._unit_costs: np.ndarray | None = None
         self._cost_memo: tuple | None = None  # (cost_model, costs)
-        self._plans: OrderedDict[tuple, _SolvePlan] = OrderedDict()  # guarded-by: operator._lock
-        self._plan_cache_size = check_positive_int(plan_cache_size, "plan_cache_size")
         self._factors: OrderedDict[bytes, object] = OrderedDict()  # guarded-by: operator._lock
-        self._factor_cache_size = check_positive_int(
-            factor_cache_size, "factor_cache_size"
-        )
         # Per-set reachability columns, keyed by the set's component labels
         # (labels mode) or the set itself (Dijkstra mode). One n-byte bool
         # column per entry; hits across any cohort containing the set.
@@ -282,16 +255,13 @@ class WalkOperator:
     def n_nodes(self) -> int:
         return self.transition.shape[0]
 
-    def matrix(self, dtype: str | None = None) -> sp.csr_matrix:
+    def matrix(self, dtype: str = "float64") -> sp.csr_matrix:
         """The CSR transition matrix in the requested solve dtype.
 
         The float32 copy (same sparsity pattern, down-cast data) is
         materialized on first use and kept for the operator's lifetime.
         """
-        dtype = self.dtype if dtype is None else check_in_options(
-            dtype, "dtype", SOLVE_DTYPES
-        )
-        if dtype == "float64":
+        if check_in_options(dtype, "dtype", SOLVE_DTYPES) == "float64":
             return self.transition
         if self._transition32 is None:
             p = self.transition
@@ -392,31 +362,15 @@ class WalkOperator:
         """
         return self._reachable_rows(sets, 0)
 
-    # -- solve plans ----------------------------------------------------------
+    # -- absorbing sets -------------------------------------------------------
 
-    def _plan(self, absorbing_sets: list[np.ndarray]) -> _SolvePlan:
-        n = self.n_nodes
-        sets = tuple(
-            as_index_array(a, n, "absorbing") for a in absorbing_sets
-        )
+    def _check_sets(self, absorbing_sets) -> list[np.ndarray]:
+        """Each set as a validated index array; GraphError if one is empty."""
+        sets = [as_index_array(a, self.n_nodes, "absorbing")
+                for a in absorbing_sets]
         if any(a.size == 0 for a in sets):
             raise GraphError("absorbing set is empty")
-        key = tuple(a.tobytes() for a in sets)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                self.plan_hits += 1
-                return plan
-            self.plan_misses += 1
-        pin_rows = np.concatenate(sets)
-        pin_cols = np.repeat(np.arange(len(sets)), [a.size for a in sets])
-        plan = _SolvePlan(sets=sets, pin_rows=pin_rows, pin_cols=pin_cols)
-        with self._lock:
-            self._plans[key] = plan
-            while len(self._plans) > self._plan_cache_size:
-                self._plans.popitem(last=False)
-        return plan
+        return sets
 
     # -- truncated sweeps -----------------------------------------------------
 
@@ -498,12 +452,15 @@ class WalkOperator:
     def solve_multi(self, absorbing_sets: list[np.ndarray],
                     n_iterations: int = 15,
                     local_costs: np.ndarray | None = None,
-                    dtype: str | None = None,
-                    chunk_size: int | None = None) -> np.ndarray:
+                    dtype: str = "float64",
+                    chunk_size: int = 1024) -> np.ndarray:
         """Truncated absorbing values, one column per absorbing set.
 
         Returns ``(n_nodes - n_users, len(absorbing_sets))``: the item rows
-        of a bipartite operator, every row otherwise.
+        of a bipartite operator, every row otherwise. ``dtype`` is the sweep
+        precision: ``"float64"`` (reference) or ``"float32"`` (serving mode,
+        half the SpMM bandwidth; top-k parity with float64 is asserted in
+        the test suite).
 
         The cohort is processed in chunks of at most ``chunk_size`` columns;
         each chunk's τ sweeps run through buffers allocated once per call
@@ -519,17 +476,12 @@ class WalkOperator:
         if n_sets == 0:
             return np.zeros((n - self.n_users, 0))
         n_iterations = check_positive_int(n_iterations, "n_iterations")
-        chunk = self.chunk_size if chunk_size is None else check_positive_int(
-            chunk_size, "chunk_size"
-        )
+        chunk = check_positive_int(chunk_size, "chunk_size")
         costs = self._check_costs(local_costs)
-        plan = self._plan(absorbing_sets)
-        reachable = self._reachable_rows(plan.sets, self.n_users)
-        dtype = self.dtype if dtype is None else check_in_options(
-            dtype, "dtype", SOLVE_DTYPES
-        )
-        np_dtype = np.float32 if dtype == "float32" else np.float64
+        sets = self._check_sets(absorbing_sets)
+        reachable = self._reachable_rows(sets, self.n_users)
         p = self.matrix(dtype)
+        np_dtype = np.float32 if dtype == "float32" else np.float64
         solve_costs = costs.astype(np_dtype, copy=False)
         leak_costs = None
         if self._leak is not None and self._leak.any():
@@ -538,15 +490,18 @@ class WalkOperator:
             # shard-local max is the bound proxy for entropy cost models).
             leak_costs = (self._leak * float(costs.max())).astype(np_dtype)
 
+        # Flat (node, column) coordinates of every absorbing entry;
+        # pin_cols is ascending, so each chunk's pins are one slice.
+        pin_rows = np.concatenate(sets)
+        pin_cols = np.repeat(np.arange(n_sets), [a.size for a in sets])
         out = np.empty((n - self.n_users, n_sets))
         width = min(chunk, n_sets)
         x, y = self._buffers(width, np_dtype)
         for lo in range(0, n_sets, width):
             hi = min(lo + width, n_sets)
-            # pin_cols is ascending, so each chunk's pins are one slice.
-            plo, phi = np.searchsorted(plan.pin_cols, [lo, hi])
-            rows = plan.pin_rows[plo:phi]
-            cols = plan.pin_cols[plo:phi] - lo
+            plo, phi = np.searchsorted(pin_cols, [lo, hi])
+            rows = pin_rows[plo:phi]
+            cols = pin_cols[plo:phi] - lo
             if hi - lo == width:
                 xb, yb = x, y
             else:  # final partial chunk: exact-width pair, ravel stays a view
@@ -563,7 +518,7 @@ class WalkOperator:
 
     def solve(self, absorbing: np.ndarray, n_iterations: int = 15,
               local_costs: np.ndarray | None = None,
-              dtype: str | None = None) -> np.ndarray:
+              dtype: str = "float64") -> np.ndarray:
         """Truncated absorbing values for a single absorbing set.
 
         A cohort of one: bit-identical to the matching
@@ -587,8 +542,7 @@ class WalkOperator:
         ``n_users:`` only.
         """
         n = self.n_nodes
-        plan = self._plan([np.atleast_1d(np.asarray(absorbing))])
-        absorbing = plan.sets[0]
+        (absorbing,) = self._check_sets([np.atleast_1d(np.asarray(absorbing))])
         costs = self._check_costs(local_costs)
         reachable = self._reachable_column(absorbing)
         values = np.full(n, np.inf)
@@ -612,7 +566,7 @@ class WalkOperator:
             factor = spla.splu(system)
             with self._lock:
                 self._factors[key] = factor
-                while len(self._factors) > self._factor_cache_size:
+                while len(self._factors) > _FACTOR_CACHE_SIZE:
                     self._factors.popitem(last=False)
         values[transient] = np.atleast_1d(factor.solve(costs[transient]))
         return values[self.n_users:]
@@ -626,18 +580,13 @@ class WalkOperator:
                 "validations": self.validations,
                 "solves": self.solves,
                 "columns_solved": self.columns_solved,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
                 "factors_cached": len(self._factors),
-                "dtype": self.dtype,
-                "chunk_size": self.chunk_size,
             }
 
     def __repr__(self) -> str:
         stats = self.stats()
         return (
             f"WalkOperator(n_nodes={self.n_nodes}, nnz={self.transition.nnz}, "
-            f"n_users={self.n_users}, dtype={self.dtype!r}, "
-            f"chunk_size={self.chunk_size}, "
+            f"n_users={self.n_users}, "
             f"validations={stats['validations']}, solves={stats['solves']})"
         )

@@ -55,6 +55,17 @@ class TestHittingTimes:
         rec = HittingTimeRecommender().fit(ds)
         assert rec.recommend(1, k=5) == []
 
+    def test_query_user_outside_the_subgraph_gets_nothing(self, fig2):
+        """µ = 1, and every Fig. 2 user rated more items than that: the
+        search stops at the seeds, so the query user, HT's absorbing set,
+        is not in the subgraph and no item gets a score."""
+        rec = HittingTimeRecommender(subgraph_size=1).fit(fig2)
+        users = np.arange(fig2.n_users)
+        assert all(fig2.items_of_user(int(u)).size > 1 for u in users)
+        assert np.isneginf(rec.score_users(users)).all()
+        for user in users:
+            assert rec.recommend(int(user), k=5) == []
+
     def test_score_is_negated_time(self, fig2):
         rec = HittingTimeRecommender(n_iterations=20).fit(fig2)
         u5 = fig2.user_id("U5")

@@ -63,7 +63,7 @@ def _cases(recommender):
     cases = []
     for key, members in groups.items():
         entry = cache.group(key)
-        cases.append((entry.operator, [np.searchsorted(entry.nodes, absorbing[i])
+        cases.append((entry.operator, [np.searchsorted(entry.index.nodes, absorbing[i])
                                        for i in members]))
     for i in solo[::7]:
         user = int(users[i])

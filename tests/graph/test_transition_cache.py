@@ -1,5 +1,8 @@
 """TransitionCache: memoized walk structures must be correct, counted, bounded."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -34,22 +37,24 @@ class TestGroupEntries:
         key = (int(labels[0]),)
         entry = cache.group(key)
         nodes = np.flatnonzero(np.isin(labels, np.array(key)))
-        np.testing.assert_array_equal(entry.nodes, nodes)
+        np.testing.assert_array_equal(entry.index.nodes, nodes)
         expected = row_normalize(
             graph.adjacency[nodes][:, nodes].tocsr(), allow_zero_rows=True
         )
-        np.testing.assert_array_equal(entry.transition.toarray(),
+        np.testing.assert_array_equal(entry.operator.transition.toarray(),
                                       expected.toarray())
-        np.testing.assert_array_equal(entry.user_mask, nodes < graph.n_users)
+        np.testing.assert_array_equal(entry.operator.user_mask,
+                                      nodes < graph.n_users)
         np.testing.assert_array_equal(
-            entry.item_indices, nodes[~entry.user_mask] - graph.n_users
+            entry.index.nodes[entry.operator.n_users:],
+            nodes[~entry.operator.user_mask]
         )
 
     def test_global_entry_reuses_graph_transition(self, graph):
         cache = TransitionCache(graph)
         entry = cache.group(None)
-        assert entry.transition is graph.transition_matrix()
-        assert entry.nodes.size == graph.n_nodes
+        assert entry.operator.transition is graph.transition_matrix()
+        assert entry.index.nodes.size == graph.n_nodes
 
     def test_hits_and_misses_counted(self, graph):
         cache = TransitionCache(graph)
@@ -64,7 +69,7 @@ class TestGroupEntries:
         entropy = np.arange(graph.n_nodes, dtype=np.float64)
         cache = TransitionCache(graph, node_entropy=entropy)
         entry = cache.group(None)
-        np.testing.assert_array_equal(entry.node_entropy, entropy)
+        np.testing.assert_array_equal(entry.operator.node_entropy, entropy)
 
     def test_entropy_length_validated(self, graph):
         with pytest.raises(ConfigError, match="n_nodes"):
@@ -106,7 +111,7 @@ class TestBfsEntries:
         # per-node map.
         memos = {name for name, value in vars(operator).items()
                  if isinstance(value, dict)}
-        assert memos == {"_plans", "_factors", "_reachable_memo"}
+        assert memos == {"_factors", "_reachable_memo"}
         assert all(len(vars(operator)[name]) <= 1 for name in memos)
 
 
@@ -263,15 +268,59 @@ class TestTargetedInvalidation:
         cache.apply_update(update)
         after = cache.group(safe_key)
         assert after.operator is before.operator  # warm structures reused
-        expected = np.where(before.nodes < graph.n_users,
-                            before.nodes, before.nodes + 1)
-        np.testing.assert_array_equal(after.nodes, expected)
-        np.testing.assert_array_equal(after.item_indices, before.item_indices)
+        expected = np.where(before.index.nodes < graph.n_users,
+                            before.index.nodes, before.index.nodes + 1)
+        np.testing.assert_array_equal(after.index.nodes, expected)
+        np.testing.assert_array_equal(after.index.sorted_local,
+                                      before.index.sorted_local)
         # And the remapped entry matches what a cold cache would build.
         cold = TransitionCache(update.graph).group(safe_key)
-        np.testing.assert_array_equal(cold.nodes, after.nodes)
-        np.testing.assert_array_equal(cold.transition.toarray(),
-                                      after.transition.toarray())
+        np.testing.assert_array_equal(cold.index.nodes, after.index.nodes)
+        np.testing.assert_array_equal(cold.operator.transition.toarray(),
+                                      after.operator.transition.toarray())
+
+    def test_shifted_index_locates_like_a_cold_entry(self, multi_component):
+        # The shift moves the item nodes in both the local order and the
+        # sorted inverse; locate searches the latter, so absorbing sets map
+        # to the same local rows as on a freshly built entry.
+        dataset, graph = multi_component
+        labels = graph.component_labels()
+        cache = TransitionCache(graph)
+        safe_key = (int(labels[dataset.user_id("u10")]),)
+        cache.group(safe_key)
+        _, update = self._update(dataset, graph, [("new-a", "i00", 2.0),
+                                                  ("new-b", "i01", 4.0)])
+        assert update.n_new_users == 2
+        assert cache.apply_update(update)["retained_groups"] == 1
+        retained = cache.group(safe_key)
+        cold = TransitionCache(update.graph).group(safe_key)
+        probe = np.arange(update.graph.n_nodes)
+        np.testing.assert_array_equal(retained.index.locate(probe),
+                                      cold.index.locate(probe))
+        assert (retained.index.locate(cold.index.nodes) >= 0).all()
+
+    def test_build_racing_an_update_stays_out_of_the_new_lru(
+            self, multi_component, monkeypatch):
+        # An update landing while an entry is built rebinds the LRUs. The
+        # entry came from the old graph: it serves its own caller, but a
+        # later lookup must build afresh on the updated graph.
+        dataset, graph = multi_component
+        labels = graph.component_labels()
+        cache = TransitionCache(graph)
+        safe_key = (int(labels[dataset.user_id("u10")]),)
+        _, update = self._update(dataset, graph, [("u00", "i01", 3.0)])
+        build = cache._build_group
+
+        def build_then_update(components):
+            entry = build(components)
+            cache.apply_update(update)
+            return entry
+
+        monkeypatch.setattr(cache, "_build_group", build_then_update)
+        stale = cache.group(safe_key)
+        assert len(cache) == 0
+        monkeypatch.undo()
+        assert cache.group(safe_key) is not stale
 
     def test_bfs_entries_evicted_on_user_shift_or_touch(self, multi_component):
         dataset, graph = multi_component
@@ -309,7 +358,7 @@ class TestPreparedOperators:
     def test_group_entry_carries_validated_operator(self, graph):
         cache = TransitionCache(graph)
         entry = cache.group(None)
-        assert entry.operator.transition is entry.transition
+        assert entry.operator.transition is graph.transition_matrix()
         assert entry.operator.validations == 1
 
     def test_group_served_twice_validates_once(self, graph):
@@ -338,3 +387,65 @@ class TestPreparedOperators:
         _, again = cache.bfs(0, seeds, absorbing, 5)
         assert again is operator
         assert cache.operator_stats()["validations"] == 1
+
+
+class TestRacingColdMisses:
+    """Threads that miss on one cold key at once get one entry between them.
+
+    Each builds outside the lock; the insert re-checks the LRU under it, so
+    the first build wins and every other caller gets that same object. A
+    tiny switch interval lets a thread lose the GIL anywhere in the build.
+    One round overlaps two builds only some of the time, so each test runs
+    a fresh cold cache per round.
+    """
+
+    N_THREADS = 6
+    ROUNDS = 20
+
+    def _race(self, lookup):
+        barrier = threading.Barrier(self.N_THREADS)
+        entries = [None] * self.N_THREADS
+        errors = []
+
+        def run(slot):
+            try:
+                barrier.wait(timeout=30)
+                entries[slot] = lookup()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(self.N_THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        return entries
+
+    def test_group_race_shares_one_entry(self, graph):
+        key = (int(graph.component_labels()[0]),)
+        for _ in range(self.ROUNDS):
+            cache = TransitionCache(graph)
+            entries = self._race(lambda: cache.group(key))
+            assert all(entry is entries[0] for entry in entries)
+            assert cache.hits + cache.misses == self.N_THREADS
+            assert len(cache._groups) == 1 and len(cache._bfs) == 0
+            assert cache.group(key) is entries[0]
+
+    def test_bfs_race_shares_one_entry(self, graph, small_synth):
+        seeds = small_synth.dataset.items_of_user(0)
+        absorbing = graph.item_nodes(seeds)
+        for _ in range(self.ROUNDS):
+            cache = TransitionCache(graph)
+            entries = self._race(lambda: cache.bfs(0, seeds, absorbing, 5))
+            assert all(entry is entries[0] for entry in entries)
+            assert cache.hits + cache.misses == self.N_THREADS
+            assert len(cache._bfs) == 1 and len(cache._groups) == 0
+            assert cache.bfs(0, seeds, absorbing, 5) is entries[0]

@@ -215,6 +215,8 @@ class TestWarmCacheRetentionParity:
         graph = recommender.graph
         for entry in cache._groups.values():
             # Remapped parent nodes must address real item indices again.
-            items = entry.nodes[entry.operator.n_users:] - graph.n_users
-            np.testing.assert_array_equal(items, entry.item_indices)
-            assert entry.nodes.max() < graph.n_nodes
+            items = entry.index.nodes[entry.operator.n_users:] - graph.n_users
+            np.testing.assert_array_equal(
+                items, entry.index.sorted_nodes[entry.operator.n_users:]
+                - graph.n_users)
+            assert entry.index.nodes.max() < graph.n_nodes
