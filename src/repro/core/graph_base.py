@@ -338,7 +338,9 @@ class RandomWalkRecommender(Recommender):
         ratings than µ: the search then stops at the seeds). The other sets
         share one multi-RHS solve, and the operator's item rows land in
         their catalogue columns in one scatter, non-finite values as
-        ``-inf``.
+        ``-inf``. The columns come from the index's own user count, so an
+        entry built before an update that appended users still scores into
+        the right columns.
         """
         index, operator = entry
         local = [index.locate(absorbing) for absorbing in absorbing_sets]
@@ -348,7 +350,7 @@ class RandomWalkRecommender(Recommender):
             return
         item_values = self._solve_multi(operator, [local[j] for j in inside])
         block = np.where(np.isfinite(item_values), -item_values, -np.inf)
-        items = index.nodes[operator.n_users:] - self.graph.n_users
+        items = index.nodes[operator.n_users:] - index.parent_users
         rows = np.asarray(rows, dtype=np.int64)[inside]
         scores[rows[:, None], items[None, :]] = block.T
 

@@ -80,7 +80,8 @@ class WalkEntry(NamedTuple):
         Parent-graph nodes in local order (users first, then items) and
         their sorted inverse; ``index.locate`` maps an absorbing set to
         local positions, and ``index.nodes[operator.n_users:]`` are the
-        item nodes of the rows a solve returns.
+        item nodes of the rows a solve returns (item
+        ``node - index.parent_users``).
     operator:
         The prepared :class:`~repro.solver.WalkOperator` over the
         subgraph's transition — validated once at build time; all warm
@@ -157,14 +158,18 @@ class TransitionCache:
                 self.hits += 1
                 return entry
             self.misses += 1
+            # apply_update rebinds both under this lock; the entry is
+            # built from one consistent pair.
+            graph, node_entropy = self.graph, self.node_entropy
         # Build outside the lock so a slow build never stalls another
         # thread's hit; a duplicate racing build is harmless (first writer
         # wins, the loser's entry is discarded).
-        entry = builder()
+        entry = builder(graph, node_entropy)
         with self._lock:
             if self._lru_locked(key)[0] is not entries:
                 # apply_update rebound the LRU while this entry was being
-                # built, maybe from the old graph: it serves this call only.
+                # built from the old graph: it serves this call only, and
+                # its index keeps the old graph's ids and user count.
                 return entry
             existing = entries.get(key)
             if existing is not None:
@@ -175,17 +180,19 @@ class TransitionCache:
                 entries.popitem(last=False)
         return entry
 
-    def _entry(self, index: NodeIndex, transition: sp.csr_matrix,
-               labels: np.ndarray | None) -> WalkEntry:
+    @staticmethod
+    def _entry(graph: UserItemGraph, node_entropy: np.ndarray, index: NodeIndex,
+               transition: sp.csr_matrix, labels: np.ndarray | None) -> WalkEntry:
         nodes = index.nodes
         # The one place an entry's matrix is validated: operator construction.
         return WalkEntry(index, WalkOperator(
-            transition, labels=labels, user_mask=nodes < self.graph.n_users,
-            node_entropy=self.node_entropy[nodes],
-            substochastic=self.graph.substochastic,
+            transition, labels=labels, user_mask=nodes < index.parent_users,
+            node_entropy=node_entropy[nodes],
+            substochastic=graph.substochastic,
         ))
 
-    def _subgraph_transition(self, sub: sp.csr_matrix,
+    @staticmethod
+    def _subgraph_transition(graph: UserItemGraph, sub: sp.csr_matrix,
                              nodes: np.ndarray) -> sp.csr_matrix:
         """Transition rows for a node-sliced subgraph.
 
@@ -195,8 +202,8 @@ class TransitionCache:
         — which already includes each node's cut-edge deficit — so boundary
         rows stay substochastic instead of inflating the surviving edges.
         """
-        if self.graph.substochastic:
-            return safe_divide_rows(sub, self.graph.degrees[nodes])
+        if graph.substochastic:
+            return safe_divide_rows(sub, graph.degrees[nodes])
         return row_normalize(sub, allow_zero_rows=True)
 
     # -- component groups ----------------------------------------------------
@@ -214,10 +221,11 @@ class TransitionCache:
             key = self.GLOBAL_KEY
         else:
             key = ("group",) + tuple(int(c) for c in components)
-        return self._get(key, lambda: self._build_group(components))
+        return self._get(key, lambda graph, node_entropy: self._build_group(
+            graph, node_entropy, components))
 
-    def _build_group(self, components: tuple[int, ...] | None) -> WalkEntry:
-        graph = self.graph
+    def _build_group(self, graph: UserItemGraph, node_entropy: np.ndarray,
+                     components: tuple[int, ...] | None) -> WalkEntry:
         labels = graph.component_labels()
         if components is None:
             nodes = np.arange(graph.n_nodes, dtype=np.int64)
@@ -225,12 +233,13 @@ class TransitionCache:
         else:
             nodes = np.flatnonzero(np.isin(labels, np.array(components)))
             transition = self._subgraph_transition(
-                graph.adjacency[nodes][:, nodes].tocsr(), nodes
+                graph, graph.adjacency[nodes][:, nodes].tocsr(), nodes
             )
             labels = labels[nodes]
         index = NodeIndex(nodes=nodes, sorted_nodes=nodes,
-                          sorted_local=np.arange(nodes.size, dtype=np.int32))
-        return self._entry(index, transition, labels)
+                          sorted_local=np.arange(nodes.size, dtype=np.int32),
+                          parent_users=graph.n_users)
+        return self._entry(graph, node_entropy, index, transition, labels)
 
     # -- per-query BFS subgraphs --------------------------------------------
 
@@ -257,14 +266,14 @@ class TransitionCache:
         key = ("bfs", int(user), int(max_items),
                seed_items.tobytes(), absorbing.tobytes())
 
-        def build():
-            sub = bfs_subgraph(self.graph, seed_items, max_items)
+        def build(graph, node_entropy):
+            sub = bfs_subgraph(graph, seed_items, max_items)
             index = sub.by_kind
             labels = (np.zeros(index.n_nodes, dtype=np.int8)
                       if sub.connected else None)
-            return self._entry(
-                index, self._subgraph_transition(sub.adjacency, index.nodes),
-                labels)
+            transition = self._subgraph_transition(graph, sub.adjacency,
+                                                   index.nodes)
+            return self._entry(graph, node_entropy, index, transition, labels)
 
         return self._get(key, build)
 
@@ -315,7 +324,6 @@ class TransitionCache:
             )
         touched = set(int(c) for c in update.touched_components)
         user_shift = update.n_new_users
-        old_n_users = self.graph.n_users
         old_labels = self.graph.component_labels()
         counts = {"invalidated_groups": 0, "retained_groups": 0,
                   "invalidated_bfs": 0, "retained_bfs": 0}
@@ -327,7 +335,7 @@ class TransitionCache:
                     continue
                 if user_shift:
                     entry = entry._replace(
-                        index=entry.index.shifted(old_n_users, user_shift))
+                        index=entry.index.shifted(user_shift))
                 groups[key] = entry
                 counts["retained_groups"] += 1
             self._groups = groups

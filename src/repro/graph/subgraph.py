@@ -48,18 +48,23 @@ class NodeIndex:
         ``nodes`` sorted ascending: the search keys of the inverse map.
     sorted_local:
         Local index of each ``sorted_nodes`` entry.
+    parent_users:
+        The parent graph's user count when these ids were taken: a node
+        below it is a user, any other is item ``node - parent_users``.
     """
 
     nodes: np.ndarray
     sorted_nodes: np.ndarray
     sorted_local: np.ndarray
+    parent_users: int
 
     @classmethod
-    def of(cls, nodes: np.ndarray) -> "NodeIndex":
+    def of(cls, nodes: np.ndarray, parent_users: int) -> "NodeIndex":
         nodes = np.asarray(nodes, dtype=np.int64)
         order = np.argsort(nodes)
         return cls(nodes=nodes, sorted_nodes=nodes[order],
-                   sorted_local=order.astype(np.int32))
+                   sorted_local=order.astype(np.int32),
+                   parent_users=int(parent_users))
 
     @property
     def n_nodes(self) -> int:
@@ -91,19 +96,23 @@ class NodeIndex:
     def contains(self, parent_node: int) -> bool:
         return bool(self.locate(int(parent_node))[0] >= 0)
 
-    def shifted(self, start: int, shift: int) -> "NodeIndex":
-        """The same local order with parent nodes ``>= start`` moved up by
-        ``shift`` (item nodes, when ``shift`` users were appended).
+    def shifted(self, shift: int) -> "NodeIndex":
+        """The same local order after ``shift`` users were appended to the
+        parent graph: every item node moves up by ``shift``.
 
         Moving a suffix of the node ids up keeps their sort order, so
-        ``sorted_local`` is unchanged.
+        ``sorted_local`` is unchanged, and an index that is its own
+        inverse (``sorted_nodes is nodes``) stays one.
         """
         def move(nodes: np.ndarray) -> np.ndarray:
-            return np.where(nodes < start, nodes, nodes + shift)
+            return np.where(nodes < self.parent_users, nodes, nodes + shift)
 
-        return NodeIndex(nodes=move(self.nodes),
-                         sorted_nodes=move(self.sorted_nodes),
-                         sorted_local=self.sorted_local)
+        nodes = move(self.nodes)
+        sorted_nodes = (nodes if self.sorted_nodes is self.nodes
+                        else move(self.sorted_nodes))
+        return NodeIndex(nodes=nodes, sorted_nodes=sorted_nodes,
+                         sorted_local=self.sorted_local,
+                         parent_users=self.parent_users + shift)
 
     def reordered(self, order: np.ndarray) -> "NodeIndex":
         """The same nodes in local order ``nodes[order]``, without a sort."""
@@ -111,7 +120,8 @@ class NodeIndex:
         rank[order] = np.arange(order.size, dtype=np.int32)
         return NodeIndex(nodes=self.nodes[order],
                          sorted_nodes=self.sorted_nodes,
-                         sorted_local=rank[self.sorted_local])
+                         sorted_local=rank[self.sorted_local],
+                         parent_users=self.parent_users)
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ def bfs_subgraph(graph: UserItemGraph, seed_items: np.ndarray,
     # Levels alternate kinds, seeds (items) first: users are the odd levels.
     bounds = np.cumsum([0] + [level.size for level in levels])
     spans = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    index = NodeIndex.of(np.concatenate(levels))
+    index = NodeIndex.of(np.concatenate(levels), graph.n_users)
     by_kind = index.reordered(np.concatenate(spans[1::2] + spans[0::2]))
     induced = adjacency[by_kind.nodes][:, by_kind.nodes].tocsr()
     return LocalSubgraph(

@@ -103,7 +103,9 @@ class TestBfsEntries:
         (entry,) = cache._bfs.values()
         assert entry[0] is index and entry[1] is operator and len(entry) == 2
         assert all(isinstance(value, np.ndarray)
-                   for value in vars(index).values())
+                   for name, value in vars(index).items()
+                   if name != "parent_users")
+        assert isinstance(index.parent_users, int)
         held = [*vars(index).values(), *vars(operator).values()]
         sparse = [value for value in held if sp.issparse(value)]
         assert len(sparse) == 1 and sparse[0] is operator.transition
@@ -273,6 +275,9 @@ class TestTargetedInvalidation:
         np.testing.assert_array_equal(after.index.nodes, expected)
         np.testing.assert_array_equal(after.index.sorted_local,
                                       before.index.sorted_local)
+        assert after.index.parent_users == update.graph.n_users
+        # A group's index is its own inverse, and the shift keeps it one.
+        assert after.index.sorted_nodes is after.index.nodes
         # And the remapped entry matches what a cold cache would build.
         cold = TransitionCache(update.graph).group(safe_key)
         np.testing.assert_array_equal(cold.index.nodes, after.index.nodes)
@@ -311,8 +316,8 @@ class TestTargetedInvalidation:
         _, update = self._update(dataset, graph, [("u00", "i01", 3.0)])
         build = cache._build_group
 
-        def build_then_update(components):
-            entry = build(components)
+        def build_then_update(*args):
+            entry = build(*args)
             cache.apply_update(update)
             return entry
 
@@ -321,6 +326,34 @@ class TestTargetedInvalidation:
         assert len(cache) == 0
         monkeypatch.undo()
         assert cache.group(safe_key) is not stale
+
+    def test_build_overtaken_by_new_users_scores_its_caller(
+            self, multi_component, monkeypatch):
+        # The update appends a user, so every item node moves up by one
+        # while the entry is being built from the old graph. The row it
+        # serves must still be the pre-update row, item for item: the
+        # scatter maps item nodes by the entry's own user count, not the
+        # live graph's.
+        dataset, _ = multi_component
+        user = dataset.user_id("u10")
+        expected = AbsorbingTimeRecommender(subgraph_size=12).fit(
+            dataset).score_users(np.array([user]))
+        assert np.isfinite(expected).sum() > 1
+        recommender = AbsorbingTimeRecommender(subgraph_size=12).fit(dataset)
+        cache = recommender._ensure_cache()
+        delta = dataset.extend([("brand-new", "i00", 2.0)], duplicates="last")
+        build = cache._build_group
+
+        def build_then_update(*args):
+            entry = build(*args)
+            recommender.partial_fit(delta)
+            return entry
+
+        monkeypatch.setattr(cache, "_build_group", build_then_update)
+        served = recommender.score_users(np.array([user]))
+        monkeypatch.undo()
+        assert recommender.graph.n_users == dataset.n_users + 1
+        np.testing.assert_array_equal(served, expected)
 
     def test_bfs_entries_evicted_on_user_shift_or_touch(self, multi_component):
         dataset, graph = multi_component

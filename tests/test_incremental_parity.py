@@ -210,13 +210,18 @@ class TestWarmCacheRetentionParity:
         recommender = AbsorbingTimeRecommender(subgraph_size=12).fit(base)
         recommender.score_users(np.arange(base.n_users))
         cache = recommender.transition_cache
+        base_graph = recommender.graph
+        item_indices = {
+            key: entry.index.nodes[entry.operator.n_users:] - base_graph.n_users
+            for key, entry in cache._groups.items()
+        }
         delta = base.extend([("newcomer", "ai0", 3.0)], duplicates="last")
         recommender.partial_fit(delta)
         graph = recommender.graph
-        for entry in cache._groups.values():
-            # Remapped parent nodes must address real item indices again.
+        assert graph.n_users == base_graph.n_users + 1
+        assert cache._groups, "expected untouched component groups to survive"
+        for key, entry in cache._groups.items():
+            # Remapped parent nodes must address the same item indices again.
             items = entry.index.nodes[entry.operator.n_users:] - graph.n_users
-            np.testing.assert_array_equal(
-                items, entry.index.sorted_nodes[entry.operator.n_users:]
-                - graph.n_users)
+            np.testing.assert_array_equal(items, item_indices[key])
             assert entry.index.nodes.max() < graph.n_nodes
